@@ -1,16 +1,19 @@
 // Micro-benchmarks of the simulator substrate (google-benchmark): event
 // scheduler throughput (including cancel-heavy churn), bitmap operations,
-// channel delivery fan-out with and without the neighbor cache, and whole
-// disseminations (small and 30x30 large-grid) as macro sanity numbers.
+// channel broadcast and delivery fan-out, and whole disseminations (small
+// and 30x30 large-grid) as macro sanity numbers.
 //
 // Beyond the google-benchmark suite, `bench_micro --perf-json[=DIR]` runs
 // a deterministic perf-tracking harness instead and writes machine-
-// readable BENCH_channel.json (cached vs. brute-force channel hot path on
-// a 30x30 grid), BENCH_packet.json (shared-frame vs. per-receiver-copy
-// delivery plus end-to-end 30x30 numbers and the pool's allocation
-// counters) and BENCH_sweep.json (run_sweep jobs=1 vs. jobs=2/4 plus the
+// readable BENCH_channel.json (warm broadcasts on a 30x30 grid and the
+// link-model probes they cost), BENCH_packet.json (dense delivery fan-out,
+// the pool's allocation counters, and an end-to-end 30x30 dissemination)
+// and BENCH_sweep.json (run_sweep jobs=1 vs. jobs=2/4 plus the
 // bit-identical-stats check). Those files are committed so the perf
-// trajectory is visible across PRs.
+// trajectory is visible across PRs. The binary exits non-zero when a
+// machine-independent gate fails: a warm broadcast probes the link model,
+// the delivery run allocates more than one frame node, a receiver is
+// handed anything but the sent frame, or the sweep diverges.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +29,7 @@
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "net/channel.hpp"
+#include "net/frame.hpp"
 #include "net/link_model.hpp"
 #include "net/packet.hpp"
 #include "net/radio.hpp"
@@ -41,24 +45,53 @@ using namespace mnp;
 
 // --- shared channel fixture ------------------------------------------------
 
-/// A rows x rows grid with every radio listening; link model, cache mode
-/// and copy mode are configurable so fast and reference paths time the
-/// exact same workload. `range` widens the disk radius (denser fan-out).
+/// Forwards to the real link model and counts the per-edge queries the
+/// channel makes. A warm broadcast is served from the neighbor rows, so
+/// these counters must not move.
+class CountingLinkModel final : public net::LinkModel {
+ public:
+  explicit CountingLinkModel(std::unique_ptr<net::LinkModel> inner)
+      : inner_(std::move(inner)) {}
+
+  double packet_success(net::NodeId src, net::NodeId dst,
+                        double ps) const override {
+    ++probes;
+    return inner_->packet_success(src, dst, ps);
+  }
+  bool interferes(net::NodeId src, net::NodeId dst, double ps) const override {
+    ++probes;
+    return inner_->interferes(src, dst, ps);
+  }
+  std::uint64_t revision() const override { return inner_->revision(); }
+  double max_interference_range(double ps) const override {
+    return inner_->max_interference_range(ps);
+  }
+  bool changed_nodes_since(std::uint64_t since,
+                           std::vector<net::NodeId>& out) const override {
+    return inner_->changed_nodes_since(since, out);
+  }
+
+  mutable std::uint64_t probes = 0;
+
+ private:
+  std::unique_ptr<net::LinkModel> inner_;
+};
+
+/// A rows x rows grid with every radio listening. `range` widens the disk
+/// radius (denser fan-out).
 struct ChannelStack {
-  ChannelStack(std::size_t rows, bool neighbor_cache, bool empirical,
-               bool zero_copy = true, double range = 25.0)
+  ChannelStack(std::size_t rows, bool empirical, double range = 25.0)
       : sim(1), topo(net::Topology::grid(rows, rows, 10.0)) {
+    std::unique_ptr<net::LinkModel> model;
     if (empirical) {
       net::EmpiricalLinkModel::Params lp;
-      links = std::make_unique<net::EmpiricalLinkModel>(topo, lp,
+      model = std::make_unique<net::EmpiricalLinkModel>(topo, lp,
                                                         sim.fork_rng(0x11A7ULL));
     } else {
-      links = std::make_unique<net::DiskLinkModel>(topo, range);
+      model = std::make_unique<net::DiskLinkModel>(topo, range);
     }
-    net::Channel::Params cp;
-    cp.neighbor_cache = neighbor_cache;
-    cp.zero_copy = zero_copy;
-    channel = std::make_unique<net::Channel>(sim, topo, *links, cp);
+    links = std::make_unique<CountingLinkModel>(std::move(model));
+    channel = std::make_unique<net::Channel>(sim, topo, *links);
     const std::size_t n = rows * rows;
     for (std::size_t i = 0; i < n; ++i) {
       meters.push_back(std::make_unique<energy::EnergyMeter>());
@@ -69,14 +102,16 @@ struct ChannelStack {
     }
   }
 
-  void broadcast_from(net::NodeId src, const net::Packet& pkt) {
-    radios[src]->start_transmission(pkt);
+  /// `what` is a Packet (wrapped into a fresh frame) or a FramePtr.
+  template <typename PacketOrFrame>
+  void broadcast_from(net::NodeId src, const PacketOrFrame& what) {
+    radios[src]->start_transmission(what);
     sim.run_until(sim.now() + sim::sec(1));
   }
 
   sim::Simulator sim;
   net::Topology topo;
-  std::unique_ptr<net::LinkModel> links;
+  std::unique_ptr<CountingLinkModel> links;
   std::unique_ptr<net::Channel> channel;
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
   std::vector<std::unique_ptr<net::Radio>> radios;
@@ -204,36 +239,23 @@ BENCHMARK(BM_EventLogRecord);
 
 // --- channel ---------------------------------------------------------------
 
-void channel_broadcast_bench(benchmark::State& state, bool cached) {
+void BM_ChannelBroadcastFanout(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
-  ChannelStack stack(rows, cached, /*empirical=*/false);
+  ChannelStack stack(rows, /*empirical=*/false);
   const net::Packet pkt = data_packet();
   const net::NodeId center = static_cast<net::NodeId>(rows * rows / 2);
   for (auto _ : state) {
     stack.broadcast_from(center, pkt);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void BM_ChannelBroadcastFanout(benchmark::State& state) {
-  channel_broadcast_bench(state, /*cached=*/true);
 }
 BENCHMARK(BM_ChannelBroadcastFanout)->Arg(10)->Arg(20)->Arg(30);
 
-void BM_ChannelBroadcastBruteForce(benchmark::State& state) {
-  // The pre-neighbor-cache reference path, for speedup bookkeeping.
-  channel_broadcast_bench(state, /*cached=*/false);
-}
-BENCHMARK(BM_ChannelBroadcastBruteForce)->Arg(10)->Arg(20)->Arg(30);
-
-void frame_delivery_bench(benchmark::State& state, bool zero_copy) {
+void BM_FrameDeliveryShared(benchmark::State& state) {
   // Delivery fan-out: one data broadcast heard by ~60 listeners (45 ft
-  // disk on a 10 ft grid). Shared mode hands every receiver the same
-  // frame; copy mode deep-copies the packet per receiver and allocates a
-  // fresh frame per transmission — the pre-flyweight behavior.
+  // disk on a 10 ft grid), every receiver reading the same frame.
   const auto rows = static_cast<std::size_t>(state.range(0));
-  ChannelStack stack(rows, /*neighbor_cache=*/true, /*empirical=*/false,
-                     zero_copy, /*range=*/45.0);
+  ChannelStack stack(rows, /*empirical=*/false, /*range=*/45.0);
   const net::Packet pkt = data_packet();
   const net::NodeId center = static_cast<net::NodeId>(rows * rows / 2);
   for (auto _ : state) {
@@ -241,16 +263,7 @@ void frame_delivery_bench(benchmark::State& state, bool zero_copy) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_FrameDeliveryShared(benchmark::State& state) {
-  frame_delivery_bench(state, /*zero_copy=*/true);
-}
 BENCHMARK(BM_FrameDeliveryShared)->Arg(30);
-
-void BM_FrameDeliveryCopy(benchmark::State& state) {
-  frame_delivery_bench(state, /*zero_copy=*/false);
-}
-BENCHMARK(BM_FrameDeliveryCopy)->Arg(30);
 
 // --- end-to-end ------------------------------------------------------------
 
@@ -290,51 +303,68 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+struct BroadcastTiming {
+  double ms = 0.0;
+  std::uint64_t probes = 0;  // link-model queries after the warmup
+};
+
 /// Times `packets` center broadcasts on a rows x rows empirical-links grid.
-double time_channel_broadcasts(std::size_t rows, int packets, bool cached) {
-  ChannelStack stack(rows, cached, /*empirical=*/true);
+BroadcastTiming time_channel_broadcasts(std::size_t rows, int packets) {
+  ChannelStack stack(rows, /*empirical=*/true);
   const net::Packet pkt = data_packet();
   const net::NodeId center = static_cast<net::NodeId>(rows * rows / 2);
-  stack.broadcast_from(center, pkt);  // warmup: materializes the cache
+  stack.broadcast_from(center, pkt);  // warmup: materializes the row
+  const std::uint64_t warm = stack.links->probes;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < packets; ++i) stack.broadcast_from(center, pkt);
-  return ms_since(start);
+  BroadcastTiming t;
+  t.ms = ms_since(start);
+  t.probes = stack.links->probes - warm;
+  return t;
 }
 
 struct DeliveryTiming {
   double ms = 0.0;
   std::uint64_t deliveries = 0;
+  std::uint64_t copied_deliveries = 0;  // handed anything but the sent frame
   std::uint64_t node_allocs = 0;
-  std::uint64_t payload_allocs = 0;
 };
 
 /// Times `packets` dense broadcasts (45 ft disk => ~60 listeners each) on
-/// a rows x rows grid, in shared-frame or per-receiver-copy mode.
-DeliveryTiming time_frame_deliveries(std::size_t rows, int packets,
-                                     bool zero_copy) {
-  ChannelStack stack(rows, /*neighbor_cache=*/true, /*empirical=*/false,
-                     zero_copy, /*range=*/45.0);
+/// a rows x rows grid. Every receiver checks it was handed the very frame
+/// that was sent.
+DeliveryTiming time_frame_deliveries(std::size_t rows, int packets) {
+  ChannelStack stack(rows, /*empirical=*/false, /*range=*/45.0);
   const net::Packet pkt = data_packet();
   const net::NodeId center = static_cast<net::NodeId>(rows * rows / 2);
-  stack.broadcast_from(center, pkt);  // warmup: fills neighbor cache + pool
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < packets; ++i) stack.broadcast_from(center, pkt);
+  net::FramePtr sent;
   DeliveryTiming t;
+  for (auto& radio : stack.radios) {
+    radio->set_receive_handler([&sent, &t](const net::Packet& p) {
+      if (&p != sent.get()) ++t.copied_deliveries;
+    });
+  }
+  const auto broadcast = [&] {
+    sent.reset();  // hand the previous frame back to the pool first
+    sent = stack.channel->frame_pool().adopt(net::Packet(pkt));
+    stack.broadcast_from(center, sent);
+  };
+  broadcast();  // warmup: fills the neighbor row + pool
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < packets; ++i) broadcast();
   t.ms = ms_since(start);
   t.deliveries = stack.channel->deliveries();
   t.node_allocs = stack.channel->frame_pool().node_allocations();
-  t.payload_allocs = stack.channel->frame_pool().payload_allocations();
   return t;
 }
 
-/// Wall-clock of one full 30x30 MNP dissemination, shared or copy mode.
-double time_end_to_end(bool zero_copy) {
+/// Wall-clock of one full 30x30 MNP dissemination.
+double time_end_to_end() {
   harness::ExperimentConfig cfg;
   cfg.rows = 30;
   cfg.cols = 30;
   cfg.set_program_segments(1);
   cfg.seed = 5;
-  cfg.channel.zero_copy = zero_copy;
   const auto start = std::chrono::steady_clock::now();
   const auto r = harness::run_experiment(cfg);
   if (!r.all_completed) {
@@ -377,9 +407,7 @@ int run_perf_json(const std::string& dir) {
   const int packets = 400;
   std::printf("perf-json: timing channel broadcasts on a %zux%zu grid...\n",
               rows, rows);
-  const double cached_ms = time_channel_broadcasts(rows, packets, true);
-  const double brute_ms = time_channel_broadcasts(rows, packets, false);
-  const double channel_speedup = cached_ms > 0.0 ? brute_ms / cached_ms : 0.0;
+  const BroadcastTiming broadcasts = time_channel_broadcasts(rows, packets);
   {
     const std::string path = dir + "/BENCH_channel.json";
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -393,35 +421,26 @@ int run_perf_json(const std::string& dir) {
                  "  \"grid\": \"%zux%zu\",\n"
                  "  \"links\": \"empirical\",\n"
                  "  \"packets\": %d,\n"
-                 "  \"neighbor_cache_ms\": %.3f,\n"
-                 "  \"brute_force_ms\": %.3f,\n"
-                 "  \"speedup\": %.2f\n"
+                 "  \"broadcast_ms\": %.3f,\n"
+                 "  \"link_model_probes\": %llu\n"
                  "}\n",
-                 rows, rows, packets, cached_ms, brute_ms, channel_speedup);
+                 rows, rows, packets, broadcasts.ms,
+                 static_cast<unsigned long long>(broadcasts.probes));
     std::fclose(f);
-    std::printf("perf-json: %s (speedup %.2fx)\n", path.c_str(),
-                channel_speedup);
+    std::printf("perf-json: %s (%.3f ms, %llu link-model probes)\n",
+                path.c_str(), broadcasts.ms,
+                static_cast<unsigned long long>(broadcasts.probes));
   }
 
-  std::printf("perf-json: timing shared vs. copy delivery on a %zux%zu grid...\n",
+  std::printf("perf-json: timing delivery fan-out on a %zux%zu grid...\n",
               rows, rows);
   const int delivery_packets = 2000;
-  const DeliveryTiming shared =
-      time_frame_deliveries(rows, delivery_packets, true);
-  const DeliveryTiming copied =
-      time_frame_deliveries(rows, delivery_packets, false);
-  const double delivery_speedup = shared.ms > 0.0 ? copied.ms / shared.ms : 0.0;
-  std::printf("perf-json: timing end-to-end 30x30 shared vs. copy...\n");
-  // One warmup then min-of-two per mode, interleaved: the first 30x30 run
-  // in a process pays cold allocator/link-cache costs that would otherwise
-  // bias whichever mode goes first.
-  time_end_to_end(true);
-  double e2e_shared_ms = 1e300;
-  double e2e_copy_ms = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    e2e_copy_ms = std::min(e2e_copy_ms, time_end_to_end(false));
-    e2e_shared_ms = std::min(e2e_shared_ms, time_end_to_end(true));
-  }
+  const DeliveryTiming delivery = time_frame_deliveries(rows, delivery_packets);
+  std::printf("perf-json: timing end-to-end 30x30...\n");
+  // One warmup then min-of-two: the first 30x30 run in a process pays cold
+  // allocator/link-cache costs.
+  time_end_to_end();
+  const double e2e_ms = std::min(time_end_to_end(), time_end_to_end());
   {
     const std::string path = dir + "/BENCH_packet.json";
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -435,30 +454,23 @@ int run_perf_json(const std::string& dir) {
                  "  \"grid\": \"%zux%zu\",\n"
                  "  \"delivery_packets\": %d,\n"
                  "  \"deliveries_per_packet\": %.1f,\n"
-                 "  \"shared_delivery_ms\": %.3f,\n"
-                 "  \"copy_delivery_ms\": %.3f,\n"
-                 "  \"delivery_speedup\": %.2f,\n"
-                 "  \"shared_node_allocations\": %llu,\n"
-                 "  \"copy_node_allocations\": %llu,\n"
-                 "  \"end_to_end_shared_ms\": %.3f,\n"
-                 "  \"end_to_end_copy_ms\": %.3f,\n"
-                 "  \"end_to_end_speedup\": %.2f\n"
+                 "  \"delivery_ms\": %.3f,\n"
+                 "  \"node_allocations\": %llu,\n"
+                 "  \"copied_deliveries\": %llu,\n"
+                 "  \"end_to_end_ms\": %.3f\n"
                  "}\n",
                  rows, rows, delivery_packets,
-                 static_cast<double>(shared.deliveries) /
+                 static_cast<double>(delivery.deliveries) /
                      (delivery_packets + 1),
-                 shared.ms, copied.ms, delivery_speedup,
-                 static_cast<unsigned long long>(shared.node_allocs),
-                 static_cast<unsigned long long>(copied.node_allocs),
-                 e2e_shared_ms, e2e_copy_ms,
-                 e2e_shared_ms > 0.0 ? e2e_copy_ms / e2e_shared_ms : 0.0);
+                 delivery.ms,
+                 static_cast<unsigned long long>(delivery.node_allocs),
+                 static_cast<unsigned long long>(delivery.copied_deliveries),
+                 e2e_ms);
     std::fclose(f);
-    std::printf(
-        "perf-json: %s (delivery %.2fx, end-to-end %.2fx, shared allocs "
-        "%llu)\n",
-        path.c_str(), delivery_speedup,
-        e2e_shared_ms > 0.0 ? e2e_copy_ms / e2e_shared_ms : 0.0,
-        static_cast<unsigned long long>(shared.node_allocs));
+    std::printf("perf-json: %s (delivery %.3f ms, node allocs %llu, "
+                "end-to-end %.1f ms)\n",
+                path.c_str(), delivery.ms,
+                static_cast<unsigned long long>(delivery.node_allocs), e2e_ms);
   }
 
   std::printf("perf-json: timing 8-seed sweep at jobs=1/2/4...\n");
@@ -505,16 +517,25 @@ int run_perf_json(const std::string& dir) {
     std::fprintf(stderr, "perf-json: PARALLEL SWEEP DIVERGED FROM jobs=1\n");
     return 1;
   }
-  if (channel_speedup < 3.0) {
+  if (broadcasts.probes != 0) {
     std::fprintf(stderr,
-                 "perf-json: channel speedup %.2fx below the 3x target\n",
-                 channel_speedup);
+                 "perf-json: %llu link-model probes over %d warm broadcasts "
+                 "(want 0: rows must be served from the cache)\n",
+                 static_cast<unsigned long long>(broadcasts.probes), packets);
     return 1;
   }
-  if (delivery_speedup < 2.0) {
+  if (delivery.node_allocs > 1) {
     std::fprintf(stderr,
-                 "perf-json: delivery speedup %.2fx below the 2x target\n",
-                 delivery_speedup);
+                 "perf-json: %llu frame-node allocations over %d broadcasts "
+                 "(want <= 1: frames must be recycled)\n",
+                 static_cast<unsigned long long>(delivery.node_allocs),
+                 delivery_packets + 1);
+    return 1;
+  }
+  if (delivery.copied_deliveries != 0) {
+    std::fprintf(stderr,
+                 "perf-json: %llu deliveries were not the shared frame\n",
+                 static_cast<unsigned long long>(delivery.copied_deliveries));
     return 1;
   }
   return 0;

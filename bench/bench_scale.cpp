@@ -4,13 +4,16 @@
 // events/sec plus peak RSS per case. Each case runs in a forked child so
 // VmHWM measures that case alone.
 //
+// Mobile cases end with a repair-locality probe: every row is built, one
+// node hops, and every row is asked for again. Only rows near the hop's
+// two endpoints may be rebuilt; a whole-cache discard would rebuild all N.
+//
 // `bench_scale --perf-json[=DIR]` writes machine-readable BENCH_scale.json
-// (committed, so the scale trajectory is visible across PRs), including
-// the mobile-10k throughput ratio of the spatial-grid path over the
-// pre-grid eager cache and whether the 100k static case completed.
-// `bench_scale --smoke` is the CI entry: one bounded 10k mobile case under
-// whatever sanitizer the build carries, asserting the incremental-repair
-// machinery actually engaged.
+// (committed, so the scale trajectory is visible across PRs) and exits
+// non-zero unless the 100k static case completed and the 10k mobile probe
+// rebuilt at most N/20 rows. `bench_scale --smoke` is the CI entry: one
+// bounded 10k mobile case under whatever sanitizer the build carries,
+// asserting the incremental-repair machinery engaged and stayed local.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -46,7 +49,6 @@ constexpr double kDensityPerSqFt =
 struct CaseSpec {
   std::size_t nodes = 0;
   bool mobile = false;
-  bool grid = true;  // false: the pre-grid eager cache (reference path)
   int bursts = 0;
   std::uint64_t seed = 1;
 };
@@ -61,6 +63,7 @@ struct CaseStats {
   std::uint64_t cache_invalidations = 0;
   std::uint64_t grid_cells = 0;
   std::uint64_t grid_max_occupancy = 0;
+  std::uint64_t repairs_per_hop = 0;  // mobile cases: the locality probe
   long vm_hwm_kb = -1;
   int completed = 0;
 };
@@ -79,6 +82,41 @@ net::Packet data_packet() {
   return pkt;
 }
 
+long read_vm_hwm_kb() {
+#ifdef __linux__
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (!f) return -1;
+  char line[256];
+  long kb = -1;
+  while (std::fgets(line, sizeof line, f)) {
+    if (!std::strncmp(line, "VmHWM:", 6)) {
+      kb = std::strtol(line + 6, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb;
+#else
+  return -1;
+#endif
+}
+
+/// Repair-locality probe: with every row warm, one node hops and every
+/// row is asked for again. Returns how many rows that rebuilt.
+std::uint64_t repairs_per_hop(const net::Channel& channel, net::Topology& topo,
+                              double extent) {
+  const auto touch_all = [&] {
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      channel.neighbor_row_for_test(1.0, static_cast<net::NodeId>(i));
+    }
+  };
+  touch_all();
+  const std::uint64_t before = channel.cache_repairs();
+  topo.set_position(0, {extent / 2.0, extent / 2.0});
+  touch_all();
+  return channel.cache_repairs() - before;
+}
+
 CaseStats run_case_inproc(const CaseSpec& spec) {
   const double extent =
       std::sqrt(static_cast<double>(spec.nodes) / kDensityPerSqFt);
@@ -89,9 +127,7 @@ CaseStats run_case_inproc(const CaseSpec& spec) {
     topo.add({place.uniform_real(0.0, extent), place.uniform_real(0.0, extent)});
   }
   net::DiskLinkModel links(topo, kRangeFt, kInterference);
-  net::Channel::Params cp;
-  cp.grid_index = spec.grid;
-  net::Channel channel(sim, topo, links, cp);
+  net::Channel channel(sim, topo, links);
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
   std::vector<std::unique_ptr<net::Radio>> radios;
   meters.reserve(spec.nodes);
@@ -157,26 +193,10 @@ CaseStats run_case_inproc(const CaseSpec& spec) {
   // actually flowed. A case that dies (OOM) never returns at all — the
   // fork protocol in run_case reports that as a failure.
   s.completed = channel.transmissions() > 0 ? 1 : 0;
+  // Peak RSS of the run itself, before the probe below builds every row.
+  s.vm_hwm_kb = read_vm_hwm_kb();
+  if (spec.mobile) s.repairs_per_hop = repairs_per_hop(channel, topo, extent);
   return s;
-}
-
-long read_vm_hwm_kb() {
-#ifdef __linux__
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (!f) return -1;
-  char line[256];
-  long kb = -1;
-  while (std::fgets(line, sizeof line, f)) {
-    if (!std::strncmp(line, "VmHWM:", 6)) {
-      kb = std::strtol(line + 6, nullptr, 10);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
-#else
-  return -1;
-#endif
 }
 
 /// Runs the case in a forked child so VmHWM is this case's own high-water
@@ -188,8 +208,7 @@ CaseStats run_case(const CaseSpec& spec) {
     const pid_t pid = fork();
     if (pid == 0) {
       close(fds[0]);
-      CaseStats s = run_case_inproc(spec);
-      s.vm_hwm_kb = read_vm_hwm_kb();
+      const CaseStats s = run_case_inproc(spec);
       ssize_t written = 0;
       const char* p = reinterpret_cast<const char*>(&s);
       while (written < static_cast<ssize_t>(sizeof s)) {
@@ -228,20 +247,20 @@ CaseStats run_case(const CaseSpec& spec) {
 }
 
 const char* mode_name(const CaseSpec& s) { return s.mobile ? "mobile" : "static"; }
-const char* path_name(const CaseSpec& s) { return s.grid ? "grid" : "eager"; }
 
 void print_case(const CaseSpec& spec, const CaseStats& s) {
   std::printf(
-      "%7zu nodes  %-6s %-5s  %8.1f ms  %10.0f events/s  rss %6.1f MB  "
-      "tx %llu del %llu repairs %llu inval %llu\n",
-      spec.nodes, mode_name(spec), path_name(spec), s.wall_ms,
+      "%7zu nodes  %-6s  %8.1f ms  %10.0f events/s  rss %6.1f MB  "
+      "tx %llu del %llu repairs %llu inval %llu repairs/hop %llu\n",
+      spec.nodes, mode_name(spec), s.wall_ms,
       s.wall_ms > 0.0 ? static_cast<double>(s.events) / (s.wall_ms / 1000.0)
                       : 0.0,
       static_cast<double>(s.vm_hwm_kb) / 1024.0,
       static_cast<unsigned long long>(s.transmissions),
       static_cast<unsigned long long>(s.deliveries),
       static_cast<unsigned long long>(s.cache_repairs),
-      static_cast<unsigned long long>(s.cache_invalidations));
+      static_cast<unsigned long long>(s.cache_invalidations),
+      static_cast<unsigned long long>(s.repairs_per_hop));
 }
 
 double events_per_sec(const CaseStats& s) {
@@ -254,14 +273,14 @@ void write_case_json(std::FILE* f, const CaseSpec& spec, const CaseStats& s,
                      bool last) {
   std::fprintf(
       f,
-      "    {\"nodes\": %zu, \"mode\": \"%s\", \"path\": \"%s\", "
+      "    {\"nodes\": %zu, \"mode\": \"%s\", "
       "\"bursts\": %d, \"wall_ms\": %.1f, \"events\": %llu, "
       "\"events_per_sec\": %.0f, \"peak_rss_mb\": %.1f, "
       "\"transmissions\": %llu, \"deliveries\": %llu, "
       "\"cache_repairs\": %llu, \"cache_invalidations\": %llu, "
       "\"grid_cells\": %llu, \"grid_max_occupancy\": %llu, "
-      "\"completed\": %s}%s\n",
-      spec.nodes, mode_name(spec), path_name(spec), spec.bursts, s.wall_ms,
+      "\"repairs_per_hop\": %llu, \"completed\": %s}%s\n",
+      spec.nodes, mode_name(spec), spec.bursts, s.wall_ms,
       static_cast<unsigned long long>(s.events), events_per_sec(s),
       static_cast<double>(s.vm_hwm_kb) / 1024.0,
       static_cast<unsigned long long>(s.transmissions),
@@ -270,46 +289,43 @@ void write_case_json(std::FILE* f, const CaseSpec& spec, const CaseStats& s,
       static_cast<unsigned long long>(s.cache_invalidations),
       static_cast<unsigned long long>(s.grid_cells),
       static_cast<unsigned long long>(s.grid_max_occupancy),
+      static_cast<unsigned long long>(s.repairs_per_hop),
       s.completed ? "true" : "false", last ? "" : ",");
 }
 
+/// The locality gate: one hop may rebuild at most N/20 rows.
+bool repairs_stay_local(const CaseSpec& spec, const CaseStats& s) {
+  return s.repairs_per_hop > 0 && s.repairs_per_hop <= spec.nodes / 20;
+}
+
 int run_perf_json(const std::string& dir) {
-  // Same (nodes, mode) workload for grid and eager wherever both run, so
-  // the events/sec ratios compare identical work. Eager is skipped at 100k:
-  // one O(N^2) build is 1e10 link-model probes — the pre-grid design does
-  // not finish there, which is the point of this whole exercise.
   const std::vector<CaseSpec> specs = {
-      {1000, false, true, 200, 1},   {1000, false, false, 200, 1},
-      {1000, true, true, 200, 1},    {1000, true, false, 200, 1},
-      {10000, false, true, 100, 1},  {10000, false, false, 100, 1},
-      {10000, true, true, 30, 1},    {10000, true, false, 30, 1},
-      {100000, false, true, 100, 1}, {100000, true, true, 20, 1},
+      {1000, false, 200, 1},  {1000, true, 200, 1},  {10000, false, 100, 1},
+      {10000, true, 30, 1},   {100000, false, 100, 1}, {100000, true, 20, 1},
   };
   std::vector<CaseStats> stats;
   stats.reserve(specs.size());
   for (const CaseSpec& spec : specs) {
-    std::printf("bench_scale: %zu nodes %s/%s...\n", spec.nodes,
-                mode_name(spec), path_name(spec));
+    std::printf("bench_scale: %zu nodes %s...\n", spec.nodes, mode_name(spec));
     std::fflush(stdout);
     stats.push_back(run_case(spec));
     print_case(spec, stats.back());
   }
 
-  double grid_mobile_10k = 0.0, eager_mobile_10k = 0.0;
+  std::uint64_t hop_10k = 0;
+  bool local_10k = false;
   double rss_100k_mb = 0.0;
   bool completed_100k = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].nodes == 10000 && specs[i].mobile) {
-      (specs[i].grid ? grid_mobile_10k : eager_mobile_10k) =
-          events_per_sec(stats[i]);
+      hop_10k = stats[i].repairs_per_hop;
+      local_10k = repairs_stay_local(specs[i], stats[i]);
     }
     if (specs[i].nodes == 100000 && !specs[i].mobile) {
       completed_100k = stats[i].completed != 0 && stats[i].deliveries > 0;
       rss_100k_mb = static_cast<double>(stats[i].vm_hwm_kb) / 1024.0;
     }
   }
-  const double speedup =
-      eager_mobile_10k > 0.0 ? grid_mobile_10k / eager_mobile_10k : 0.0;
 
   const std::string path = dir + "/BENCH_scale.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -330,37 +346,38 @@ int run_perf_json(const std::string& dir) {
   }
   std::fprintf(f,
                "  ],\n"
-               "  \"mobile_10k_grid_over_eager\": %.1f,\n"
+               "  \"mobile_10k_repairs_per_hop\": %llu,\n"
                "  \"static_100k_peak_rss_mb\": %.1f,\n"
                "  \"completed_100k_static\": %s\n"
                "}\n",
-               speedup, rss_100k_mb, completed_100k ? "true" : "false");
+               static_cast<unsigned long long>(hop_10k), rss_100k_mb,
+               completed_100k ? "true" : "false");
   std::fclose(f);
-  std::printf("bench_scale: %s (mobile 10k speedup %.1fx, 100k static %s)\n",
-              path.c_str(), speedup, completed_100k ? "completed" : "FAILED");
+  std::printf("bench_scale: %s (mobile 10k repairs/hop %llu, 100k static %s)\n",
+              path.c_str(), static_cast<unsigned long long>(hop_10k),
+              completed_100k ? "completed" : "FAILED");
 
   if (!completed_100k) {
     std::fprintf(stderr, "bench_scale: 100k static case did not complete\n");
     return 1;
   }
-  if (speedup < 10.0) {
+  if (!local_10k) {
     std::fprintf(stderr,
-                 "bench_scale: mobile 10k speedup %.1fx below the 10x target\n",
-                 speedup);
+                 "bench_scale: one hop rebuilt %llu of 10000 rows (want 1..500)\n",
+                 static_cast<unsigned long long>(hop_10k));
     return 1;
   }
   return 0;
 }
 
 int run_smoke() {
-  // CI entry (sanitizer-friendly wall budget): one bounded 10k mobile case
-  // on the grid path, in-process. Checks that the run produced traffic and
-  // that the incremental-repair machinery — not whole-cache discard — is
-  // what serviced the mobility churn.
+  // CI entry (sanitizer-friendly wall budget): one bounded 10k mobile case,
+  // in-process. Checks that the run produced traffic and that the
+  // incremental-repair machinery — not whole-cache discard — is what
+  // serviced the mobility churn.
   CaseSpec spec;
   spec.nodes = 10000;
   spec.mobile = true;
-  spec.grid = true;
   spec.bursts = 10;
   const CaseStats s = run_case_inproc(spec);
   print_case(spec, s);
@@ -375,6 +392,11 @@ int run_smoke() {
   }
   if (s.grid_cells == 0) {
     std::fprintf(stderr, "bench_scale --smoke: spatial grid never built\n");
+    return 1;
+  }
+  if (!repairs_stay_local(spec, s)) {
+    std::fprintf(stderr, "bench_scale --smoke: one hop rebuilt %llu rows\n",
+                 static_cast<unsigned long long>(s.repairs_per_hop));
     return 1;
   }
   std::printf("bench_scale --smoke: OK\n");
@@ -392,8 +414,8 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--smoke")) return run_smoke();
   }
   // Default: the quick human-readable subset.
-  for (const CaseSpec& spec : std::vector<CaseSpec>{
-           {1000, false, true, 100, 1}, {1000, true, true, 100, 1}}) {
+  for (const CaseSpec& spec :
+       std::vector<CaseSpec>{{1000, false, 100, 1}, {1000, true, 100, 1}}) {
     print_case(spec, run_case(spec));
   }
   return 0;

@@ -16,8 +16,6 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo,
       rng_(sim.fork_rng(0xC4A27EFULL)) {
   radios_.resize(topo_.size(), nullptr);
   listening_.resize(topo_.size(), 0);
-  // Copy mode is the honest brute-force reference: no recycling anywhere.
-  pool_.set_recycling(params_.zero_copy);
 }
 
 Channel::Channel(sim::Simulator& sim, const Topology& topo,
@@ -89,7 +87,7 @@ void Channel::apply_move(const Topology::MoveRecord& mv) const {
     mark_neighborhood_dirty(*cache, mv.to);
     if (mv.node < cache->neighbors.size()) cache->mark_dirty(mv.node);
   }
-  grid_.move(mv.node, mv.to);
+  if (grid_.valid()) grid_.move(mv.node, mv.to);
 }
 
 void Channel::sync_world() const {
@@ -100,34 +98,23 @@ void Channel::sync_world() const {
     // Nothing cached yet; a built grid would be a stale position snapshot.
     grid_.reset();
   } else {
-    // Incremental repair needs every cached scale on the lazy grid path
-    // plus a complete account of what changed (bounded logs: either can
-    // have been overwritten, and a link model may not track change sets
-    // at all). Anything short of that discards the caches — correct by
-    // construction, merely slower, and exactly the pre-grid behavior.
-    bool incremental = params_.grid_index && grid_.valid();
-    for (const auto& cache : scales_) {
-      if (cache->dirty.empty()) {
-        incremental = false;
-        break;
-      }
-    }
+    // Incremental repair needs a complete account of what changed: both
+    // logs are bounded, and a link model may not track change sets at
+    // all. Anything short of that discards the caches — correct by
+    // construction, merely slower.
     move_scratch_.clear();
-    if (incremental && tv != cache_topo_version_) {
-      incremental = topo_.moves_since(cache_topo_version_, move_scratch_);
-    }
     link_scratch_.clear();
-    if (incremental && lr != cache_links_revision_) {
-      incremental = links_.changed_nodes_since(cache_links_revision_,
-                                               link_scratch_);
-    }
+    const bool incremental =
+        (tv == cache_topo_version_ ||
+         topo_.moves_since(cache_topo_version_, move_scratch_)) &&
+        (lr == cache_links_revision_ ||
+         links_.changed_nodes_since(cache_links_revision_, link_scratch_));
     if (incremental) {
       for (const auto& mv : move_scratch_) apply_move(mv);
       for (const NodeId id : link_scratch_) {
         if (id >= topo_.size()) continue;
-        const Position p{grid_.x(id), grid_.y(id)};
         for (const auto& cache : scales_) {
-          mark_neighborhood_dirty(*cache, p);
+          mark_neighborhood_dirty(*cache, topo_.position(id));
           if (id < cache->neighbors.size()) cache->mark_dirty(id);
         }
       }
@@ -156,36 +143,19 @@ Channel::ScaleCache& Channel::scale_for(double power_scale) const {
 }
 
 Channel::ScaleCache& Channel::build_scale(double power_scale) const {
-  // First packet at this power scale: materialize the neighbor rows. The
-  // grid path defers every row to first touch (O(neighbors) each); the
-  // eager reference path pays one O(N^2) pass up front.
+  // First packet at this power scale: every row starts dirty and is built
+  // on first touch, O(neighbors) through the grid.
   auto cache = std::make_unique<ScaleCache>();
   cache->power_scale = power_scale;
   cache->radius = links_.max_interference_range(power_scale);
   const std::size_t n = topo_.size();
   cache->neighbors.resize(n);
   cache->success.resize(n);
-  const bool lazy =
-      params_.neighbor_cache && params_.grid_index && cache->radius >= 0.0;
-  if (lazy) {
-    if (!grid_.valid() && cache->radius > 0.0) {
-      grid_.build(topo_, cache->radius);
-      publish_grid_gauges();
-    }
-    cache->mark_all_dirty(n);
-  } else {
-    for (std::size_t src = 0; src < n; ++src) {
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        if (src == dst) continue;
-        const NodeId s = static_cast<NodeId>(src);
-        const NodeId d = static_cast<NodeId>(dst);
-        if (!links_.interferes(s, d, power_scale)) continue;
-        cache->neighbors[src].push_back(d);
-        cache->success[src].push_back(
-            links_.packet_success(s, d, power_scale));
-      }
-    }
+  if (!grid_.valid() && cache->radius > 0.0) {
+    grid_.build(topo_, cache->radius);
+    publish_grid_gauges();
   }
+  cache->mark_all_dirty(n);
   scales_.push_back(std::move(cache));
   const auto index = static_cast<std::uint32_t>(scales_.size() - 1);
   const auto pos = std::lower_bound(
@@ -204,9 +174,8 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
   suc.clear();
   const double ps = cache.power_scale;
   if (grid_.valid() && cache.radius >= 0.0) {
-    // Grid superset -> exact filter -> sort: byte-identical to what the
-    // eager all-pairs pass builds for this row (ascending, self excluded),
-    // so both paths feed the RNG the same candidate streams.
+    // Grid superset -> exact filter -> sort: the same ascending row, self
+    // excluded, that the linear scan below builds.
     row_scratch_.clear();
     grid_.for_each_near(
         grid_.x(src), grid_.y(src), cache.radius, [&](NodeId d) {
@@ -219,6 +188,7 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
     suc.reserve(nbr.size());
     for (const NodeId d : nbr) suc.push_back(links_.packet_success(src, d, ps));
   } else {
+    // No finite interference bound: every node is a potential neighbor.
     const std::size_t n = topo_.size();
     for (std::size_t dst = 0; dst < n; ++dst) {
       const NodeId d = static_cast<NodeId>(dst);
@@ -248,36 +218,27 @@ Channel::neighbor_row_for_test(double power_scale, NodeId src) const {
 }
 
 bool Channel::carrier_busy(NodeId listener) const {
-  if (params_.neighbor_cache) {
-    const std::size_t n = topo_.size();
-    for (const auto& tx : active_) {
-      if (tx->src == listener) return true;  // own transmission in flight
-      if (listener < n &&
-          row_reaches(scale_for(tx->pkt().power_scale), tx->src, listener)) {
-        return true;
-      }
-    }
-    return false;
-  }
+  const std::size_t n = topo_.size();
   for (const auto& tx : active_) {
-    if (tx->src == listener) return true;
-    if (links_.interferes(tx->src, listener, tx->pkt().power_scale)) return true;
+    if (tx->src == listener) return true;  // own transmission in flight
+    if (listener < n &&
+        row_reaches(scale_for(tx->pkt().power_scale), tx->src, listener)) {
+      return true;
+    }
   }
   return false;
 }
 
 std::shared_ptr<Channel::Active> Channel::acquire_active() {
-  if (params_.zero_copy) {
-    // Scan for a retired record the scheduler has released (the completion
-    // lambda keeps a reference until it runs; such entries sit at
-    // use_count() > 1 and stay in the retired list).
-    for (std::size_t i = retired_active_.size(); i-- > 0;) {
-      if (retired_active_[i].use_count() == 1) {
-        std::shared_ptr<Active> tx = std::move(retired_active_[i]);
-        retired_active_[i] = std::move(retired_active_.back());
-        retired_active_.pop_back();
-        return tx;
-      }
+  // Scan for a retired record the scheduler has released (the completion
+  // lambda keeps a reference until it runs; such entries sit at
+  // use_count() > 1 and stay in the retired list).
+  for (std::size_t i = retired_active_.size(); i-- > 0;) {
+    if (retired_active_[i].use_count() == 1) {
+      std::shared_ptr<Active> tx = std::move(retired_active_[i]);
+      retired_active_[i] = std::move(retired_active_.back());
+      retired_active_.pop_back();
+      return tx;
     }
   }
   return std::make_shared<Active>();
@@ -288,8 +249,8 @@ void Channel::corrupt_candidate(Active& tx, std::size_t candidate_index) {
 }
 
 void Channel::corrupt_listener(Active& tx, NodeId id) {
-  // Candidate lists are ascending in both the cached and the brute-force
-  // path, so membership is a binary search, not a scan.
+  // Candidate lists are ascending, so membership is a binary search, not a
+  // scan.
   const auto it =
       std::lower_bound(tx.candidates.begin(), tx.candidates.end(), id);
   if (it != tx.candidates.end() && *it == id) {
@@ -311,54 +272,41 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   tx->frame = std::move(frame);
   ++transmissions_;
   if (metrics_) metrics_->add(m_tx_, src);
-  if (observer_) observer_->on_transmit(src, tx->pkt(), sim_.now());
 
   // Candidate receivers: every node currently listening whose radio hears
   // this source at all (interference reach, not just decode reach). The
   // decode probability rides along so delivery never re-queries the link
-  // model. Both paths enumerate in ascending node order, and the listening
+  // model. Enumeration is in ascending node order, and the listening
   // filter reads the SoA byte array — no Radio dereference per neighbor.
-  const std::size_t n = topo_.size();
-  ScaleCache* tx_cache = nullptr;
-  if (params_.neighbor_cache) {
-    tx_cache = &scale_for(tx->pkt().power_scale);
-    if (src < n) {
-      ensure_row(*tx_cache, src);
-      const auto& neighbors = tx_cache->neighbors[src];
-      const auto& success = tx_cache->success[src];
-      tx->candidates.reserve(neighbors.size());
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        const NodeId id = neighbors[i];
-        if (id >= listening_.size() || !listening_[id]) continue;
-        tx->candidates.push_back(id);
-        tx->success.push_back(success[i]);
-        tx->corrupted.push_back(false);
-      }
-    }
-  } else {
-    for (NodeId id = 0; id < radios_.size(); ++id) {
-      if (id == src || id >= listening_.size() || !listening_[id]) continue;
-      if (!links_.interferes(src, id, tx->pkt().power_scale)) continue;
+  ScaleCache& tx_cache = scale_for(tx->pkt().power_scale);
+  if (src < topo_.size()) {
+    ensure_row(tx_cache, src);
+    const auto& neighbors = tx_cache.neighbors[src];
+    const auto& success = tx_cache.success[src];
+    tx->candidates.reserve(neighbors.size());
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      const NodeId id = neighbors[i];
+      if (id >= listening_.size() || !listening_[id]) continue;
       tx->candidates.push_back(id);
-      tx->success.push_back(
-          links_.packet_success(src, id, tx->pkt().power_scale));
+      tx->success.push_back(success[i]);
       tx->corrupted.push_back(false);
     }
   }
+  tx->index = active_.size();
+  active_.push_back(tx);
+  if (observer_) observer_->on_transmit(src, tx->pkt(), sim_.now());
 
-  // Cross-corruption with every transmission already in flight: a listener
-  // reached by both sources decodes neither packet.
-  for (const auto& other : active_) {
-    ScaleCache* other_cache =
-        params_.neighbor_cache ? &scale_for(other->pkt().power_scale) : nullptr;
+  // Cross-corruption with every transmission already in flight (all but
+  // the new tail entry): a listener reached by both sources decodes
+  // neither packet.
+  for (std::size_t k = 0; k + 1 < active_.size(); ++k) {
+    Active& other = *active_[k];
+    ScaleCache& other_cache = scale_for(other.pkt().power_scale);
     const auto other_reaches = [&](NodeId at) {
-      return other_cache
-                 ? row_reaches(*other_cache, other->src, at)
-                 : links_.interferes(other->src, at, other->pkt().power_scale);
+      return row_reaches(other_cache, other.src, at);
     };
     const auto tx_reaches = [&](NodeId at) {
-      return tx_cache ? row_reaches(*tx_cache, src, at)
-                      : links_.interferes(src, at, tx->pkt().power_scale);
+      return row_reaches(tx_cache, src, at);
     };
     for (std::size_t i = 0; i < tx->candidates.size(); ++i) {
       const NodeId r = tx->candidates[i];
@@ -369,10 +317,10 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
         if (observer_) observer_->on_collision(r, sim_.now());
       }
     }
-    for (std::size_t i = 0; i < other->candidates.size(); ++i) {
-      const NodeId r = other->candidates[i];
-      if (!other->corrupted[i] && tx_reaches(r)) {
-        corrupt_candidate(*other, i);
+    for (std::size_t i = 0; i < other.candidates.size(); ++i) {
+      const NodeId r = other.candidates[i];
+      if (!other.corrupted[i] && tx_reaches(r)) {
+        corrupt_candidate(other, i);
         ++collisions_;
         if (metrics_) metrics_->add(m_collisions_, r);
         if (observer_) observer_->on_collision(r, sim_.now());
@@ -381,8 +329,8 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
     // Concurrent bulk-sender monitor (paper: "at most one sender active in
     // any neighborhood"): two overlapping code transmissions whose sources
     // interfere with each other or share a reachable listener.
-    if (tx->bulk && other->bulk) {
-      const bool mutual = tx_reaches(other->src) || other_reaches(src);
+    if (tx->bulk && other.bulk) {
+      const bool mutual = tx_reaches(other.src) || other_reaches(src);
       bool shared_victim = false;
       if (!mutual) {
         for (const NodeId r : tx->candidates) {
@@ -399,8 +347,6 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
     }
   }
 
-  tx->index = active_.size();
-  active_.push_back(tx);
   sim_.scheduler().post_at(tx->end, [this, tx] { end_transmission(tx); });
 }
 
@@ -439,17 +385,10 @@ void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
     ++deliveries_;
     if (metrics_) metrics_->add(m_delivered_, r);
     if (observer_) observer_->on_deliver(tx->src, r, tx->pkt(), sim_.now());
-    if (params_.zero_copy) {
-      // Every receiver reads the one shared immutable frame.
-      radio->deliver(tx->pkt());
-    } else {
-      // Brute-force reference: each receiver gets its own deep copy, as if
-      // the air materialized a fresh packet per listener.
-      const Packet copy = tx->pkt();
-      radio->deliver(copy);
-    }
+    // Every receiver reads the one shared immutable frame.
+    radio->deliver(tx->pkt());
   }
-  if (params_.zero_copy && retired_active_.size() < 64) {
+  if (retired_active_.size() < 64) {
     // Park the record for reuse; capacity of the candidate vectors and the
     // shared_ptr control block survive. The completion lambda still holds
     // a reference until the scheduler drops it, which acquire_active

@@ -19,20 +19,20 @@
 // channel caches each node's interference neighbor row (ascending NodeId,
 // decode success cached per edge). Rows are *sparse* — reachability is a
 // binary search of the source's row, never an N^2 bitset — and are built
-// and repaired through a spatial-hash grid (SpatialGrid) sized to the
-// link model's interference radius, so one row costs O(neighbors), not
-// O(N). World changes repair incrementally: Topology::set_position and
-// scenario link windows mark only the affected sources dirty (per-scale
-// dirty bitset, repaired on next access) instead of discarding every
-// cache. The node-listening flags live in a struct-of-arrays byte vector
-// so candidate filtering never chases Radio pointers.
+// lazily on first touch through a spatial-hash grid (SpatialGrid) sized to
+// the link model's interference radius, so one row costs O(neighbors), not
+// O(N); a link model with no finite radius gets a linear scan per row.
+// World changes repair incrementally: Topology::set_position and scenario
+// link windows mark only the affected sources dirty (per-scale dirty
+// bitset, repaired on next access); only a change set that cannot be
+// enumerated discards the caches. The node-listening flags live in a
+// struct-of-arrays byte vector so candidate filtering never chases Radio
+// pointers. Every decision enumerates nodes in ascending order, which
+// fixes the RNG stream.
 //
-// Reference paths, kept for equivalence diffing: Params::grid_index=false
-// reverts to eager all-pairs builds with whole-cache invalidation (the
-// pre-grid behavior), Params::neighbor_cache=false to brute-force scans
-// with no cache at all. All paths enumerate candidates in ascending node
-// order, so they consume the RNG identically and whole runs are
-// bit-for-bit comparable.
+// There is one code path. Tests check it against a brute-force oracle
+// (tests/channel_oracle.hpp) that recomputes rows, candidate sets,
+// collision victims and carrier sense from the LinkModel with no caches.
 #pragma once
 
 #include <cstdint>
@@ -65,23 +65,23 @@ class Channel {
  public:
   struct Params {
     double bitrate_bps = 19200.0;  // Mica-2 CC1000 radio
-    /// Debug/reference switch: false reverts to the brute-force O(N)
-    /// scans the neighbor cache replaces. Equivalence-tested against the
-    /// cached path; keep it for diffing, never for production runs.
-    bool neighbor_cache = true;
-    /// Debug/reference switch: false reverts to brute-force delivery —
-    /// every receiver gets its own deep copy of the packet, frame/payload
-    /// pooling is off, and each transmission record is heap-allocated.
-    /// Equivalence-tested bit-identical against the shared-frame path.
-    bool zero_copy = true;
-    /// Debug/reference switch: false reverts to the pre-grid cache — an
-    /// eager all-pairs O(N^2) build per power scale, fully discarded on
-    /// any topology move or link-revision bump. The grid path builds and
-    /// repairs rows lazily through the spatial index and is equivalence-
-    /// tested bit-identical. Requires neighbor_cache; the grid prunes by
-    /// LinkModel::max_interference_range (models without a finite bound
-    /// fall back to the eager behavior automatically).
-    bool grid_index = true;
+  };
+
+  /// One in-flight transmission: the shared frame plus the receivers it
+  /// was heard by when it began, each with its decode probability and
+  /// whether it has since been corrupted.
+  struct Active {
+    NodeId src;
+    FramePtr frame;                  // the one shared copy of the packet
+    sim::Time start;
+    sim::Time end;
+    bool bulk;
+    std::size_t index;               // position in active_, for swap-pop
+    std::vector<NodeId> candidates;  // listening-at-start, interfered, ascending
+    std::vector<double> success;     // decode probability, parallel to candidates
+    std::vector<bool> corrupted;     // parallel to candidates
+
+    const Packet& pkt() const { return *frame; }
   };
 
   Channel(sim::Simulator& sim, const Topology& topo, const LinkModel& links,
@@ -137,37 +137,29 @@ class Channel {
   /// Distinct power scales whose neighbor sets have been materialized.
   std::size_t cached_power_scales() const { return scales_.size(); }
   /// Times the world changed under live caches (topology move or link-
-  /// model revision bump). The grid path answers most of these with
-  /// incremental dirty-marking; the eager path discards every cache.
+  /// model revision bump). Most are answered by incremental dirty-marking;
+  /// a change set that cannot be enumerated discards every cache.
   std::uint64_t cache_invalidations() const { return cache_invalidations_; }
-  /// Neighbor rows (re)built lazily by the grid path — first-touch builds
-  /// and post-invalidation repairs alike.
+  /// Neighbor rows (re)built lazily — first-touch builds and post-
+  /// invalidation repairs alike.
   std::uint64_t cache_repairs() const { return cache_repairs_; }
-  /// Spatial-index occupancy (0 when the grid path is off or unbuilt).
+  /// Spatial-index occupancy (0 while unbuilt or for unbounded radii).
   std::size_t grid_cells() const { return grid_.cell_count(); }
   std::size_t grid_max_occupancy() const { return grid_.max_occupancy(); }
 
   /// Test hook: the (neighbors, success) row `src` would transmit with at
-  /// `power_scale`, forcing any pending repair first. Lets equivalence
-  /// tests diff incremental repair against a from-scratch rebuild.
+  /// `power_scale`, forcing any pending repair first. Lets the test oracle
+  /// diff incremental repair against a from-scratch scan.
   std::pair<std::vector<NodeId>, std::vector<double>> neighbor_row_for_test(
       double power_scale, NodeId src) const;
+  /// Test hook: the transmissions in flight, oldest first. During
+  /// ChannelObserver::on_transmit the new transmission is the last entry,
+  /// its candidates built and not yet cross-corrupted.
+  const std::vector<std::shared_ptr<Active>>& in_flight_for_test() const {
+    return active_;
+  }
 
  private:
-  struct Active {
-    NodeId src;
-    FramePtr frame;                  // the one shared copy of the packet
-    sim::Time start;
-    sim::Time end;
-    bool bulk;
-    std::size_t index;               // position in active_, for swap-pop
-    std::vector<NodeId> candidates;  // listening-at-start, interfered, ascending
-    std::vector<double> success;     // decode probability, parallel to candidates
-    std::vector<bool> corrupted;     // parallel to candidates
-
-    const Packet& pkt() const { return *frame; }
-  };
-
   /// Neighbor rows + per-edge decode success for one power scale. Rows
   /// are per-source (struct-of-arrays: ids and success side by side) —
   /// reachability is a binary search, so nothing here is O(N^2).
@@ -176,7 +168,7 @@ class Channel {
     double radius = -1.0;  // max interference range; < 0 = no finite bound
     std::vector<std::vector<NodeId>> neighbors;  // ascending, per source
     std::vector<std::vector<double>> success;    // parallel to neighbors
-    std::vector<std::uint64_t> dirty;            // grid path: rows to repair
+    std::vector<std::uint64_t> dirty;            // rows to repair on touch
     std::size_t dirty_count = 0;
 
     bool row_dirty(NodeId src) const {
@@ -201,8 +193,8 @@ class Channel {
   };
 
   /// Brings the caches up to date with the world (incremental when the
-  /// grid path can, whole-cache discard otherwise), then returns the cache
-  /// for `power_scale`, materializing it on first use.
+  /// change set is known, whole-cache discard otherwise), then returns the
+  /// cache for `power_scale`, materializing it on first use.
   ScaleCache& scale_for(double power_scale) const;
   ScaleCache& build_scale(double power_scale) const;
   /// Applies pending topology moves / link-revision changes to the grid
@@ -215,8 +207,7 @@ class Channel {
   void mark_neighborhood_dirty(ScaleCache& cache, Position p) const;
   void discard_caches() const;
   /// Repairs `src`'s row if dirty: grid-pruned collect + sort, or linear
-  /// scan when no finite radius exists. Identical output to the eager
-  /// all-pairs build, row by row.
+  /// scan when no finite radius exists. Both yield the ascending row.
   void ensure_row(ScaleCache& cache, NodeId src) const {
     if (cache.dirty_count != 0 && cache.row_dirty(src)) rebuild_row(cache, src);
   }
@@ -255,13 +246,12 @@ class Channel {
   /// Sorted (power_scale, index into scales_) pairs: cache lookup is one
   /// lower_bound probe, not a linear scan per transmission.
   mutable std::vector<std::pair<double, std::uint32_t>> scale_index_;
-  /// Spatial index behind the grid path; rebuilt whenever the caches are
+  /// Spatial index behind the row builds; rebuilt whenever the caches are
   /// discarded, repaired via Topology's move log otherwise.
   mutable SpatialGrid grid_;
   // World epoch the caches were synced at: any topology move or link-model
-  // revision bump past these marks affected rows dirty (grid path) or
-  // discards the caches (eager path) — mobility must never silently use a
-  // stale neighbor row.
+  // revision bump past these marks affected rows dirty (or discards the
+  // caches) — mobility must never silently use a stale neighbor row.
   mutable std::uint64_t cache_topo_version_ = 0;
   mutable std::uint64_t cache_links_revision_ = 0;
   mutable std::uint64_t cache_invalidations_ = 0;

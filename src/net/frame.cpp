@@ -39,20 +39,16 @@ void release_frame(FrameNode* node) {
   std::shared_ptr<FramePoolState> keep = std::move(node->home);
   node->home.reset();
   --keep->live;
-  if (keep->recycle) {
-    reclaim_payload(*keep, node->pkt);
-    node->pkt = Packet{};
-    keep->free_nodes.push_back(node);
-  } else {
-    delete node;
-  }
+  reclaim_payload(*keep, node->pkt);
+  node->pkt = Packet{};
+  keep->free_nodes.push_back(node);
 }
 
 }  // namespace detail
 
 FramePtr FramePool::adopt(Packet&& pkt) {
   detail::FrameNode* node = nullptr;
-  if (state_->recycle && !state_->free_nodes.empty()) {
+  if (!state_->free_nodes.empty()) {
     node = state_->free_nodes.back();
     state_->free_nodes.pop_back();
   } else {
@@ -66,7 +62,7 @@ FramePtr FramePool::adopt(Packet&& pkt) {
 }
 
 std::vector<std::uint8_t> FramePool::acquire_payload() {
-  if (state_->recycle && !state_->free_payloads.empty()) {
+  if (!state_->free_payloads.empty()) {
     std::vector<std::uint8_t> buf = std::move(state_->free_payloads.back());
     state_->free_payloads.pop_back();
     return buf;

@@ -23,10 +23,9 @@
 // state is shared_ptr-owned by every live frame, so destruction order of
 // Channel vs. MACs vs. application code cannot dangle a frame.
 //
-// `set_recycling(false)` turns the pool into a plain allocator (every
-// frame and payload is a fresh heap object, released to the heap). That is
-// the brute-force reference mode Channel::Params::zero_copy=false uses;
-// equivalence tests pin it bit-identical to the pooled path.
+// Recycling is unconditional. The channel test oracle re-encodes every
+// delivered frame and checks it against the bytes that were sent, so a
+// reused node or payload buffer that leaks into a live frame shows up.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +55,6 @@ struct FrameNode {
 struct FramePoolState {
   std::vector<FrameNode*> free_nodes;
   std::vector<std::vector<std::uint8_t>> free_payloads;
-  bool recycle = true;
 
   // Introspection for tests/benches: steady state means node_allocs and
   // payload_allocs stop growing while frames keep flowing.
@@ -68,7 +66,7 @@ struct FramePoolState {
 };
 
 /// Drops one reference; on the last one, reclaims payload capacity and
-/// either recycles or frees the node. Defined in frame.cpp.
+/// returns the node to the free list. Defined in frame.cpp.
 void release_frame(FrameNode* node);
 
 }  // namespace detail
@@ -138,11 +136,6 @@ class FramePool {
   /// payload whenever possible. Fill it and move it into a DataMsg-family
   /// payload; the pool gets the capacity back when that frame dies.
   [[nodiscard]] std::vector<std::uint8_t> acquire_payload();
-
-  /// false = plain allocator mode (the brute-force reference path): every
-  /// adopt allocates, every release frees, nothing is recycled.
-  void set_recycling(bool on) { state_->recycle = on; }
-  bool recycling() const { return state_->recycle; }
 
   // --- introspection ------------------------------------------------------
   std::uint64_t node_allocations() const { return state_->node_allocs; }

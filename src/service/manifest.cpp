@@ -51,7 +51,7 @@ std::string canonical_manifest(const harness::ExperimentConfig& cfg,
   obs::JsonWriter w;
   w.begin_object();
   w.key("manifest_version");
-  w.value(1);
+  w.value(2);
 
   w.key("config");
   w.begin_object();
@@ -79,12 +79,6 @@ std::string canonical_manifest(const harness::ExperimentConfig& cfg,
   w.value(cfg.link_noise_stddev);
   w.key("chan_bitrate_bps");
   w.value(cfg.channel.bitrate_bps);
-  w.key("chan_neighbor_cache");
-  w.value(cfg.channel.neighbor_cache);
-  w.key("chan_zero_copy");
-  w.value(cfg.channel.zero_copy);
-  w.key("chan_grid_index");
-  w.value(cfg.channel.grid_index);
   w.key("program_id");
   w.value(static_cast<std::uint64_t>(cfg.program_id));
   w.key("program_bytes");

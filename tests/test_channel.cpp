@@ -1,10 +1,14 @@
 // Channel semantics: delivery, half-duplex, collisions (including hidden
-// terminals), carrier sense, and the concurrent-bulk-sender monitor.
+// terminals), carrier sense, and the concurrent-bulk-sender monitor; then
+// the production channel checked against the brute-force oracle on random
+// topologies, under churn and with an unbounded interference radius.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "channel_oracle.hpp"
 #include "net/channel.hpp"
 #include "net/link_model.hpp"
 #include "net/radio.hpp"
@@ -243,266 +247,200 @@ TEST_F(ChannelTest, CannotTransmitWhileOffOrBusy) {
   EXPECT_FALSE(radios_[0]->start_transmission(adv_packet()));  // busy
 }
 
-// --- neighbor cache vs. brute-force reference ----------------------------
+// --- production channel vs. the brute-force oracle -----------------------
 //
-// The cached hot path must be *bit-identical* to the debug reference: same
-// candidate sets in the same order, hence the same RNG stream, hence the
-// same deliveries, collisions and carrier-sense answers on any topology.
-class EquivalenceStack {
+// One production stack with ChannelOracle attached: every row, candidate
+// set, collision victim, delivery and carrier-sense answer is checked
+// against a from-scratch link-model scan while the traffic runs.
+// `Links` is the link model type, so tests can drive its own knobs
+// (partition windows, link flips).
+template <typename Links>
+class OracleStack {
  public:
-  EquivalenceStack(Channel::Params cp, std::size_t n) : sim_(99) {
-    sim::Rng place(1234);  // same placement in both stacks
+  /// `n` nodes placed uniformly in [0, extent)^2 by `place_seed`;
+  /// `make_links(topology)` builds the link model.
+  template <typename MakeLinks>
+  OracleStack(std::uint64_t sim_seed, std::size_t n, double extent,
+              std::uint64_t place_seed, MakeLinks make_links)
+      : sim_(sim_seed) {
+    sim::Rng place(place_seed);
     for (std::size_t i = 0; i < n; ++i) {
-      topo_.add({place.uniform_real(0.0, 120.0),
-                 place.uniform_real(0.0, 120.0)});
+      topo_.add({place.uniform_real(0.0, extent),
+                 place.uniform_real(0.0, extent)});
     }
-    EmpiricalLinkModel::Params lp;
-    links_ = std::make_unique<EmpiricalLinkModel>(topo_, lp, sim::Rng(777));
-    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, cp);
-    received_.assign(n, 0);
+    links_ = make_links(topo_);
+    channel_ = std::make_unique<Channel>(sim_, topo_, *links_);
     for (std::size_t i = 0; i < n; ++i) {
       meters_.push_back(std::make_unique<energy::EnergyMeter>());
       radios_.push_back(std::make_unique<Radio>(
           static_cast<NodeId>(i), sim_.scheduler(), *channel_, *meters_[i]));
       channel_->register_radio(*radios_[i]);
-      radios_[i]->set_receive_handler(
-          [this, i](const Packet&) { ++received_[i]; });
       radios_[i]->turn_on();
     }
+    oracle_ = std::make_unique<ChannelOracle>(
+        *channel_, topo_, *links_,
+        [this](NodeId id) { return radios_[id]->is_listening(); });
   }
 
-  /// Deterministic traffic pattern: staggered, overlapping transmissions
-  /// (data + adv) from scattered sources, two power scales, plus radios
-  /// toggling off mid-run and periodic carrier-sense probes.
-  void drive() {
-    sim::Rng traffic(4242);  // same schedule in both stacks
-    for (int burst = 0; burst < 40; ++burst) {
-      const auto at = static_cast<sim::Time>(traffic.uniform_int(0, 900000));
-      const auto who =
-          static_cast<NodeId>(traffic.uniform_int(0, static_cast<std::int64_t>(radios_.size()) - 1));
-      const bool bulk = traffic.bernoulli(0.5);
-      const double scale = traffic.bernoulli(0.25) ? 0.5 : 1.0;
-      sim_.scheduler().schedule_at(at, [this, who, bulk, scale] {
-        Packet pkt;
-        if (bulk) {
-          DataMsg d;
-          d.payload.assign(22, 0x5A);
-          pkt.payload = std::move(d);
-        } else {
-          pkt.payload = AdvertisementMsg{};
-        }
-        pkt.src = who;
-        pkt.power_scale = scale;
-        radios_[who]->start_transmission(pkt);
-      });
-      if (burst % 5 == 0) {
-        const auto victim =
-            static_cast<NodeId>(traffic.uniform_int(0, static_cast<std::int64_t>(radios_.size()) - 1));
-        sim_.scheduler().schedule_at(at + 2000, [this, victim] {
-          radios_[victim]->turn_off();
-        });
-        sim_.scheduler().schedule_at(at + 50000, [this, victim] {
-          radios_[victim]->turn_on();
-        });
+  std::int64_t last_id() const {
+    return static_cast<std::int64_t>(radios_.size()) - 1;
+  }
+
+  /// `who` broadcasts a data (bulk) or advertisement packet at `scale`.
+  void transmit_at(sim::Time at, NodeId who, bool bulk, double scale) {
+    sim_.scheduler().schedule_at(at, [this, who, bulk, scale] {
+      Packet pkt;
+      if (bulk) {
+        DataMsg d;
+        d.payload.assign(22, 0x5A);
+        pkt.payload = std::move(d);
+      } else {
+        pkt.payload = AdvertisementMsg{};
       }
-      sim_.scheduler().schedule_at(at + 1000, [this] {
-        for (std::size_t i = 0; i < radios_.size(); ++i) {
-          carrier_samples_.push_back(channel_->carrier_busy(static_cast<NodeId>(i)));
-        }
-      });
-    }
-    sim_.run_until(sim::sec(2));
+      pkt.src = who;
+      pkt.power_scale = scale;
+      radios_[who]->start_transmission(pkt);
+    });
+  }
+
+  /// `victim`'s radio goes off at `at` and back on 48 ms later.
+  void toggle_at(sim::Time at, NodeId victim) {
+    sim_.scheduler().schedule_at(at, [this, victim] { radios_[victim]->turn_off(); });
+    sim_.scheduler().schedule_at(at + 48000,
+                                 [this, victim] { radios_[victim]->turn_on(); });
+  }
+
+  void move_at(sim::Time at, NodeId mover, Position to) {
+    sim_.scheduler().schedule_at(at,
+                                 [this, mover, to] { topo_.set_position(mover, to); });
+  }
+
+  /// Every row at every power scale seen, and carrier sense everywhere.
+  void check_at(sim::Time at) {
+    sim_.scheduler().schedule_at(at, [this] { oracle_->check_now(); });
+  }
+
+  void run_until(sim::Time end) {
+    sim_.run_until(end);
+    oracle_->finish();
   }
 
   sim::Simulator sim_;
   Topology topo_;
-  std::unique_ptr<EmpiricalLinkModel> links_;
+  std::unique_ptr<Links> links_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters_;
   std::vector<std::unique_ptr<Radio>> radios_;
-  std::vector<std::uint64_t> received_;
-  std::vector<bool> carrier_samples_;
+  std::unique_ptr<ChannelOracle> oracle_;
 };
 
-Channel::Params grid_params() { return Channel::Params{}; }  // grid on
-
-Channel::Params eager_params() {
-  Channel::Params cp;
-  cp.grid_index = false;  // pre-grid eager cache
-  return cp;
-}
-
-Channel::Params brute_params() {
-  Channel::Params cp;
-  cp.neighbor_cache = false;
-  return cp;
+/// Empirical links over a 120 ft square; deterministic traffic: staggered,
+/// overlapping transmissions (data + adv) from scattered sources, two
+/// power scales, radios toggling off mid-run and periodic oracle probes.
+std::unique_ptr<OracleStack<EmpiricalLinkModel>> drive_random_topology(
+    std::size_t n) {
+  auto stack = std::make_unique<OracleStack<EmpiricalLinkModel>>(
+      99, n, 120.0, 1234, [](const Topology& t) {
+        return std::make_unique<EmpiricalLinkModel>(
+            t, EmpiricalLinkModel::Params{}, sim::Rng(777));
+      });
+  sim::Rng traffic(4242);
+  for (int burst = 0; burst < 40; ++burst) {
+    const auto at = static_cast<sim::Time>(traffic.uniform_int(0, 900000));
+    const auto who = static_cast<NodeId>(traffic.uniform_int(0, stack->last_id()));
+    const bool bulk = traffic.bernoulli(0.5);
+    const double scale = traffic.bernoulli(0.25) ? 0.5 : 1.0;
+    stack->transmit_at(at, who, bulk, scale);
+    if (burst % 5 == 0) {
+      stack->toggle_at(at + 2000,
+                       static_cast<NodeId>(traffic.uniform_int(0, stack->last_id())));
+    }
+    stack->check_at(at + 1000);
+  }
+  stack->run_until(sim::sec(2));
+  return stack;
 }
 
 TEST(ChannelNeighborCache, MatchesBruteForceOnRandomTopology) {
-  EquivalenceStack grid(grid_params(), 48);
-  EquivalenceStack eager(eager_params(), 48);
-  EquivalenceStack brute(brute_params(), 48);
-  grid.drive();
-  eager.drive();
-  brute.drive();
-
-  for (const auto* cached : {&grid, &eager}) {
-    EXPECT_EQ(cached->channel_->transmissions(),
-              brute.channel_->transmissions());
-    EXPECT_EQ(cached->channel_->deliveries(), brute.channel_->deliveries());
-    EXPECT_EQ(cached->channel_->collisions(), brute.channel_->collisions());
-    EXPECT_EQ(cached->channel_->concurrent_bulk_overlaps(),
-              brute.channel_->concurrent_bulk_overlaps());
-    EXPECT_EQ(cached->received_, brute.received_);
-    EXPECT_EQ(cached->carrier_samples_, brute.carrier_samples_);
-    // Two power scales were in play, so two neighbor caches materialized.
-    EXPECT_EQ(cached->channel_->cached_power_scales(), 2u);
-  }
-  // Sanity: the run exercised something in every dimension we compare.
-  EXPECT_GT(grid.channel_->deliveries(), 0u);
-  EXPECT_GT(grid.channel_->collisions(), 0u);
-  EXPECT_EQ(brute.channel_->cached_power_scales(), 0u);
-  // The grid path really ran lazily: rows were materialized on demand.
-  EXPECT_GT(grid.channel_->cache_repairs(), 0u);
-  EXPECT_GT(grid.channel_->grid_cells(), 0u);
-  EXPECT_EQ(eager.channel_->cache_repairs(), 0u);
+  const auto stack = drive_random_topology(48);
+  const Channel& channel = *stack->channel_;
+  const ChannelOracle::Counts& checked = stack->oracle_->counts();
+  EXPECT_EQ(checked.transmissions, channel.transmissions());
+  EXPECT_GT(checked.candidates, 0u);
+  EXPECT_GT(checked.carrier_probes, 0u);
+  // The run exercised delivery and collisions, at two power scales.
+  EXPECT_GT(channel.deliveries(), 0u);
+  EXPECT_GT(channel.collisions(), 0u);
+  EXPECT_EQ(checked.collisions, channel.collisions());
+  EXPECT_EQ(channel.cached_power_scales(), 2u);
+  // Rows were materialized on demand through the grid.
+  EXPECT_GT(channel.cache_repairs(), 0u);
+  EXPECT_GT(channel.grid_cells(), 0u);
 }
 
 TEST(ChannelNeighborCache, PairwiseQueriesMatchLinkModel) {
   // The sparse reach rows and per-edge success cache must agree with the
   // link model for every directed pair, at a non-default power scale too.
-  EquivalenceStack cached(grid_params(), 24);
-  EquivalenceStack brute(brute_params(), 24);
-  cached.drive();
-  brute.drive();
-  for (std::size_t s = 0; s < 24; ++s) {
-    ASSERT_EQ(cached.channel_->carrier_busy(static_cast<NodeId>(s)),
-              brute.channel_->carrier_busy(static_cast<NodeId>(s)));
-  }
+  const auto stack = drive_random_topology(24);
+  const std::uint64_t before = stack->oracle_->counts().rows;
+  stack->oracle_->check_now();
+  EXPECT_EQ(stack->oracle_->counts().rows - before, 2u * 24u);
 }
 
-// --- grid path under churn: mobility, partitions, degrade windows ---------
+// --- under churn: mobility, partitions, degrade windows -------------------
 //
-// Same three-way comparison, but the world itself changes mid-run: nodes
-// teleport between waypoints (Topology::set_position, exactly what the
-// scenario engine's mobility interpolation calls) and a ScenarioLinkModel
-// opens partition and degrade windows. The grid path repairs its rows
-// incrementally; eager discards everything; brute consults the model live.
-// All three must produce bit-identical deliveries, collisions and
-// carrier-sense answers on every seed.
-class ChurnStack {
- public:
-  ChurnStack(Channel::Params cp, std::size_t n, std::uint64_t seed)
-      : sim_(99 + seed) {
-    sim::Rng place(1234 + seed);  // same placement across the three stacks
-    for (std::size_t i = 0; i < n; ++i) {
-      topo_.add({place.uniform_real(0.0, 150.0),
-                 place.uniform_real(0.0, 150.0)});
-    }
-    links_ = std::make_unique<scenario::ScenarioLinkModel>(
-        std::make_unique<DiskLinkModel>(topo_, 25.0, 1.5), n);
-    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, cp);
-    received_.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      meters_.push_back(std::make_unique<energy::EnergyMeter>());
-      radios_.push_back(std::make_unique<Radio>(
-          static_cast<NodeId>(i), sim_.scheduler(), *channel_, *meters_[i]));
-      channel_->register_radio(*radios_[i]);
-      radios_[i]->set_receive_handler(
-          [this, i](const Packet&) { ++received_[i]; });
-      radios_[i]->turn_on();
-    }
-  }
-
-  void drive(std::uint64_t seed) {
-    const auto n = static_cast<std::int64_t>(radios_.size());
-    sim::Rng traffic(4242 + seed);  // same schedule across the three stacks
-    for (int burst = 0; burst < 60; ++burst) {
-      const auto at = static_cast<sim::Time>(traffic.uniform_int(0, 1800000));
-      const auto who = static_cast<NodeId>(traffic.uniform_int(0, n - 1));
-      const bool bulk = traffic.bernoulli(0.5);
-      const double scale = traffic.bernoulli(0.25) ? 0.5 : 1.0;
-      sim_.scheduler().schedule_at(at, [this, who, bulk, scale] {
-        Packet pkt;
-        if (bulk) {
-          DataMsg d;
-          d.payload.assign(22, 0x5A);
-          pkt.payload = std::move(d);
-        } else {
-          pkt.payload = AdvertisementMsg{};
-        }
-        pkt.src = who;
-        pkt.power_scale = scale;
-        radios_[who]->start_transmission(pkt);
+// The world itself changes mid-run: nodes teleport between waypoints
+// (Topology::set_position, exactly what the scenario engine's mobility
+// interpolation calls) and a ScenarioLinkModel opens partition and
+// degrade windows. The channel repairs its rows incrementally; the oracle
+// consults the model live.
+std::unique_ptr<OracleStack<scenario::ScenarioLinkModel>> drive_churn(
+    std::size_t n, std::uint64_t seed) {
+  auto stack = std::make_unique<OracleStack<scenario::ScenarioLinkModel>>(
+      99 + seed, n, 150.0, 1234 + seed, [n](const Topology& t) {
+        return std::make_unique<scenario::ScenarioLinkModel>(
+            std::make_unique<DiskLinkModel>(t, 25.0, 1.5), n);
       });
-      if (burst % 4 == 0) {  // waypoint hop between two transmissions
-        const auto mover = static_cast<NodeId>(traffic.uniform_int(0, n - 1));
-        const double nx = traffic.uniform_real(0.0, 150.0);
-        const double ny = traffic.uniform_real(0.0, 150.0);
-        sim_.scheduler().schedule_at(at + 500, [this, mover, nx, ny] {
-          topo_.set_position(mover, {nx, ny});
-        });
-      }
-      if (burst % 7 == 0) {
-        sim_.scheduler().schedule_at(at + 1000, [this] {
-          for (std::size_t i = 0; i < radios_.size(); ++i) {
-            carrier_samples_.push_back(
-                channel_->carrier_busy(static_cast<NodeId>(i)));
-          }
-        });
-      }
+  sim::Rng traffic(4242 + seed);
+  for (int burst = 0; burst < 60; ++burst) {
+    const auto at = static_cast<sim::Time>(traffic.uniform_int(0, 1800000));
+    const auto who = static_cast<NodeId>(traffic.uniform_int(0, stack->last_id()));
+    const bool bulk = traffic.bernoulli(0.5);
+    const double scale = traffic.bernoulli(0.25) ? 0.5 : 1.0;
+    stack->transmit_at(at, who, bulk, scale);
+    if (burst % 4 == 0) {  // waypoint hop between two transmissions
+      const auto mover = static_cast<NodeId>(traffic.uniform_int(0, stack->last_id()));
+      const double nx = traffic.uniform_real(0.0, 150.0);
+      const double ny = traffic.uniform_real(0.0, 150.0);
+      stack->move_at(at + 500, mover, {nx, ny});
     }
-    sim_.scheduler().schedule_at(400000, [this] {
-      links_->set_partition({{0, 1, 2, 3, 4}, {5, 6, 7}});
-    });
-    sim_.scheduler().schedule_at(900000, [this] { links_->clear_partition(); });
-    sim_.scheduler().schedule_at(1100000, [this] {
-      links_->begin_degrade(0.5, {2, 9, 11});
-    });
-    sim_.scheduler().schedule_at(1500000, [this] {
-      links_->end_degrade(0.5, {2, 9, 11});
-    });
-    sim_.run_until(sim::sec(3));
+    if (burst % 7 == 0) stack->check_at(at + 1000);
   }
+  auto& sched = stack->sim_.scheduler();
+  auto* links = stack->links_.get();
+  sched.schedule_at(400000, [links] {
+    links->set_partition({{0, 1, 2, 3, 4}, {5, 6, 7}});
+  });
+  sched.schedule_at(900000, [links] { links->clear_partition(); });
+  sched.schedule_at(1100000, [links] { links->begin_degrade(0.5, {2, 9, 11}); });
+  sched.schedule_at(1500000, [links] { links->end_degrade(0.5, {2, 9, 11}); });
+  for (const sim::Time at : {400001, 900001, 1100001, 1500001}) {
+    stack->check_at(at);
+  }
+  stack->run_until(sim::sec(3));
+  return stack;
+}
 
-  sim::Simulator sim_;
-  Topology topo_;
-  std::unique_ptr<scenario::ScenarioLinkModel> links_;
-  std::unique_ptr<Channel> channel_;
-  std::vector<std::unique_ptr<energy::EnergyMeter>> meters_;
-  std::vector<std::unique_ptr<Radio>> radios_;
-  std::vector<std::uint64_t> received_;
-  std::vector<bool> carrier_samples_;
-};
-
-TEST(ChannelGridChurn, MatchesEagerAndBruteUnderMobilityAndPartitions) {
+TEST(ChannelGridChurn, MatchesOracleUnderMobilityAndPartitions) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    ChurnStack grid(grid_params(), 32, seed);
-    ChurnStack eager(eager_params(), 32, seed);
-    ChurnStack brute(brute_params(), 32, seed);
-    grid.drive(seed);
-    eager.drive(seed);
-    brute.drive(seed);
-
-    for (const auto* cached : {&grid, &eager}) {
-      EXPECT_EQ(cached->channel_->transmissions(),
-                brute.channel_->transmissions())
-          << "seed " << seed;
-      EXPECT_EQ(cached->channel_->deliveries(), brute.channel_->deliveries())
-          << "seed " << seed;
-      EXPECT_EQ(cached->channel_->collisions(), brute.channel_->collisions())
-          << "seed " << seed;
-      EXPECT_EQ(cached->channel_->concurrent_bulk_overlaps(),
-                brute.channel_->concurrent_bulk_overlaps())
-          << "seed " << seed;
-      EXPECT_EQ(cached->received_, brute.received_) << "seed " << seed;
-      EXPECT_EQ(cached->carrier_samples_, brute.carrier_samples_)
-          << "seed " << seed;
-    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto stack = drive_churn(32, seed);
+    const Channel& channel = *stack->channel_;
+    EXPECT_EQ(stack->oracle_->counts().transmissions, channel.transmissions());
     // The run exercised delivery and the incremental-repair machinery.
-    EXPECT_GT(brute.channel_->deliveries(), 0u);
-    EXPECT_GT(grid.channel_->cache_invalidations(), 0u);
-    EXPECT_GT(grid.channel_->cache_repairs(), 0u);
+    EXPECT_GT(channel.deliveries(), 0u);
+    EXPECT_GT(channel.cache_invalidations(), 0u);
+    EXPECT_GT(channel.cache_repairs(), 0u);
   }
 }
 
@@ -517,7 +455,7 @@ TEST(ChannelGridChurn, CarrierSenseStaysExactAfterMoves) {
   topo.add({10.0, 0.0});
   topo.add({100.0, 0.0});
   DiskLinkModel links(topo, 15.0);
-  Channel channel(sim, topo, links, grid_params());
+  Channel channel(sim, topo, links);
   energy::EnergyMeter m0, m1, m2;
   Radio r0(0, sim.scheduler(), channel, m0);
   Radio r1(1, sim.scheduler(), channel, m1);
@@ -633,6 +571,98 @@ TEST(ChannelLinkRevision, RevisionBumpInvalidatesTheNeighborCache) {
   sim.run_until(sim::sec(3));
   EXPECT_EQ(heard, 2u);
   EXPECT_EQ(channel.cache_invalidations(), 2u);
+}
+
+// --- unbounded interference radius ----------------------------------------
+//
+// SwitchableLinkModel reports no finite interference range, so no grid is
+// built and every row is a linear scan. Rows still build lazily and moves
+// still repair incrementally (every row turns dirty); a link flip has no
+// enumerable change set and discards the caches. A check right after each
+// world change makes every change its own invalidation.
+struct UnboundedRun {
+  std::unique_ptr<OracleStack<SwitchableLinkModel>> stack;
+  std::uint64_t world_changes = 0;
+  std::uint64_t severed_tx = 0;          // transmissions begun while severed
+  std::uint64_t severed_deliveries = 0;  // deliveries of those
+};
+
+UnboundedRun drive_unbounded(bool mobile) {
+  UnboundedRun run;
+  run.stack = std::make_unique<OracleStack<SwitchableLinkModel>>(
+      5, 24, 100.0, 77, [](const Topology& t) {
+        return std::make_unique<SwitchableLinkModel>(
+            std::make_unique<DiskLinkModel>(t, 25.0, 1.5));
+      });
+  OracleStack<SwitchableLinkModel>& stack = *run.stack;
+  auto& sched = stack.sim_.scheduler();
+  sim::Rng traffic(31);
+  for (int burst = 0; burst < 60; ++burst) {
+    const auto at = static_cast<sim::Time>(traffic.uniform_int(0, 1800000));
+    const auto who = static_cast<NodeId>(traffic.uniform_int(0, stack.last_id()));
+    stack.transmit_at(at, who, traffic.bernoulli(0.5),
+                      traffic.bernoulli(0.25) ? 0.5 : 1.0);
+    if (burst % 6 == 0) {
+      stack.toggle_at(at + 2000,
+                      static_cast<NodeId>(traffic.uniform_int(0, stack.last_id())));
+    }
+    if (mobile && burst % 4 == 0) {
+      const auto mover = static_cast<NodeId>(traffic.uniform_int(0, stack.last_id()));
+      const Position to{traffic.uniform_real(0.0, 100.0),
+                        traffic.uniform_real(0.0, 100.0)};
+      stack.move_at(at + 500, mover, to);
+      stack.check_at(at + 501);
+      ++run.world_changes;
+    }
+  }
+  // Severed from 600 ms to 1 s. Transmissions begun before the flip may
+  // still land; count only those begun in [700 ms, 1 s).
+  SwitchableLinkModel* links = stack.links_.get();
+  const Channel* channel = stack.channel_.get();
+  sched.schedule_at(600000, [links] { links->set_severed(true); });
+  sched.schedule_at(1000000, [links] { links->set_severed(false); });
+  stack.check_at(600001);
+  stack.check_at(1000001);
+  run.world_changes += 2;
+  std::uint64_t tx0 = 0, del0 = 0;
+  sched.schedule_at(700000, [&, channel] {
+    tx0 = channel->transmissions();
+    del0 = channel->deliveries();
+  });
+  sched.schedule_at(1000000, [&, channel] {
+    run.severed_tx = channel->transmissions() - tx0;
+    run.severed_deliveries = channel->deliveries() - del0;
+  });
+  stack.run_until(sim::sec(3));
+  return run;
+}
+
+void expect_unbounded_run_exact(const UnboundedRun& run) {
+  const Channel& channel = *run.stack->channel_;
+  EXPECT_EQ(run.stack->oracle_->counts().transmissions, channel.transmissions());
+  EXPECT_GT(run.stack->oracle_->counts().rows, 0u);
+  EXPECT_GT(run.stack->oracle_->counts().carrier_probes, 0u);
+  EXPECT_GT(channel.deliveries(), 0u);
+  EXPECT_GT(channel.collisions(), 0u);
+  // Linear-scan rows: no spatial index, yet still built lazily.
+  EXPECT_EQ(channel.grid_cells(), 0u);
+  EXPECT_GT(channel.cache_repairs(), 0u);
+  EXPECT_EQ(channel.cache_invalidations(), run.world_changes);
+  // The flip was noticed: nothing begun while severed was delivered.
+  EXPECT_GT(run.severed_tx, 0u);
+  EXPECT_EQ(run.severed_deliveries, 0u);
+}
+
+TEST(ChannelUnboundedRadius, StaticWorldMatchesOracle) {
+  const UnboundedRun run = drive_unbounded(/*mobile=*/false);
+  expect_unbounded_run_exact(run);
+  EXPECT_EQ(run.world_changes, 2u);  // the two link flips
+}
+
+TEST(ChannelUnboundedRadius, MovingWorldMatchesOracle) {
+  const UnboundedRun run = drive_unbounded(/*mobile=*/true);
+  expect_unbounded_run_exact(run);
+  EXPECT_GT(run.world_changes, 2u);
 }
 
 }  // namespace

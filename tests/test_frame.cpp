@@ -1,13 +1,15 @@
 // Shared-frame flyweight tests: FramePtr refcounting, FramePool recycling,
-// and the headline equivalence claim — zero-copy delivery is bit-identical
-// to the brute-force per-receiver copy path, traces and metrics included.
+// and the end-to-end claims — on a full MNP dissemination, every receiver
+// of the one shared (and recycled) frame reads exactly the bytes that
+// were sent, and checking that changes no metric and no trace line.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "channel_oracle.hpp"
 #include "mnp/mnp_node.hpp"
 #include "net/frame.hpp"
 #include "node/network.hpp"
@@ -75,17 +77,6 @@ TEST(FramePool, ReclaimsDataPayloadCapacity) {
   EXPECT_EQ(pool.pooled_payloads(), 0u);
 }
 
-TEST(FramePool, RecyclingOffIsAPlainAllocator) {
-  FramePool pool;
-  pool.set_recycling(false);
-  for (int i = 0; i < 5; ++i) {
-    FramePtr f = pool.adopt(data_packet());
-  }
-  EXPECT_EQ(pool.node_allocations(), 5u);  // nothing reused
-  EXPECT_EQ(pool.pooled_nodes(), 0u);
-  EXPECT_EQ(pool.pooled_payloads(), 0u);
-}
-
 TEST(FramePool, FrameMayOutliveThePool) {
   FramePtr survivor;
   {
@@ -97,93 +88,148 @@ TEST(FramePool, FrameMayOutliveThePool) {
   survivor.reset();  // must not touch freed pool memory (ASan-checked in CI)
 }
 
-// --- zero-copy vs. brute-force copy equivalence --------------------------
+// --- shared frames on a full dissemination --------------------------------
 //
-// Channel::Params::zero_copy=false deep-copies the packet once per
-// receiver and turns pool recycling off — the allocation behavior the
-// simulator had before frames were shared. Both modes must consume the
-// same RNG stream, so every delivery, collision, trace line and metric is
-// bit-identical on any topology and seed.
+// MNP over lossy empirical links on a grid. With the channel oracle between
+// the channel and the network's stats collector, frames are pooled and
+// recycled, payload buffers are stolen back from dead frames, and every
+// delivery must still re-encode to the bytes its sender put on the air —
+// the bytes a per-receiver copy would have carried.
 
-harness::ExperimentConfig experiment_config(std::uint64_t seed,
-                                            bool zero_copy) {
-  harness::ExperimentConfig cfg;
-  cfg.rows = 4;
-  cfg.cols = 4;
-  cfg.range_ft = 25.0;
-  cfg.set_program_segments(2);
-  cfg.max_sim_time = sim::hours(2);
-  cfg.seed = seed;
-  cfg.channel.zero_copy = zero_copy;
-  return cfg;
-}
+/// What one dissemination produced: every metric the stats collector and
+/// the channel keep, the rendered trace when asked for, and what the
+/// oracle checked (all zero when it was not attached).
+struct DisseminationRun {
+  bool all_completed = false;
+  sim::Time completion_time = sim::kNever;
+  std::uint64_t transmissions = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t collisions = 0;
+  std::uint64_t bulk_overlaps = 0;
+  std::uint64_t node_allocations = 0;
+  std::vector<NodeId> sender_order;
+  std::vector<node::NodeStats> nodes;
+  std::string trace;
+  ChannelOracle::Counts checked;
+};
 
-void expect_runs_identical(const harness::RunResult& a,
-                           const harness::RunResult& b) {
-  EXPECT_EQ(a.all_completed, b.all_completed);
-  EXPECT_EQ(a.completed_count, b.completed_count);
-  EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.bulk_overlaps, b.bulk_overlaps);
-  EXPECT_EQ(a.sender_order, b.sender_order);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].completion, b.nodes[i].completion);
-    EXPECT_EQ(a.nodes[i].active_radio, b.nodes[i].active_radio);
-    EXPECT_EQ(a.nodes[i].tx_total, b.nodes[i].tx_total);
-    EXPECT_EQ(a.nodes[i].rx_total, b.nodes[i].rx_total);
-    EXPECT_EQ(a.nodes[i].eeprom_writes, b.nodes[i].eeprom_writes);
-    EXPECT_EQ(a.nodes[i].energy_nah, b.nodes[i].energy_nah);
-    EXPECT_EQ(a.nodes[i].image_verified, b.nodes[i].image_verified);
-  }
-}
-
-TEST(ZeroCopyEquivalence, MetricsBitIdenticalAcrossSeeds) {
-  // Randomized multi-seed: the paper-grade claim is "same bytes out", not
-  // "statistically similar", so every field must match exactly.
-  for (const std::uint64_t seed : {11ull, 57ull, 302ull, 9001ull}) {
-    const auto shared = run_experiment(experiment_config(seed, true));
-    const auto copied = run_experiment(experiment_config(seed, false));
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_runs_identical(shared, copied);
-  }
-}
-
-std::string traced_dissemination(std::uint64_t seed, bool zero_copy) {
+DisseminationRun disseminate(std::uint64_t seed, std::size_t side,
+                             bool with_oracle, bool with_trace) {
   sim::Simulator sim(seed);
-  Channel::Params cp;
-  cp.zero_copy = zero_copy;
+  const LinkModel* links = nullptr;
   node::Network network(
-      sim, Topology::grid(3, 3, 10.0),
-      [](const Topology& t) {
-        return std::make_unique<DiskLinkModel>(t, 25.0);
-      },
-      cp);
+      sim, Topology::grid(side, side, 10.0), [&links, seed](const Topology& t) {
+        auto model = std::make_unique<EmpiricalLinkModel>(
+            t, EmpiricalLinkModel::Params{}, sim::Rng(seed));
+        links = model.get();
+        return model;
+      });
+  std::optional<ChannelOracle> oracle;
+  if (with_oracle) {
+    oracle.emplace(
+        network.channel(), network.topology(), *links,
+        [&network](NodeId id) { return network.node(id).radio().is_listening(); },
+        &network.stats());
+  }
   trace::EventLog log;
-  network.stats().set_event_log(&log);
+  if (with_trace) network.stats().set_event_log(&log);
   core::MnpConfig cfg;
   auto image = std::make_shared<const core::ProgramImage>(
-      1, cfg.packets_per_segment * cfg.payload_bytes);
+      1, 2 * cfg.packets_per_segment * cfg.payload_bytes);
   for (NodeId id = 0; id < network.size(); ++id) {
     network.node(id).set_application(
         id == 0 ? std::make_unique<core::MnpNode>(cfg, image)
                 : std::make_unique<core::MnpNode>(cfg));
   }
   network.boot_all();
-  sim.run_until_condition(sim::hours(1),
+  sim.run_until_condition(sim::hours(2),
                           [&] { return network.stats().all_completed(); });
+
+  DisseminationRun run;
+  if (oracle) {
+    oracle->finish();
+    run.checked = oracle->counts();
+  }
+  const node::StatsCollector& stats = network.stats();
+  run.all_completed = stats.all_completed();
+  run.completion_time = stats.completion_time();
+  run.transmissions = network.channel().transmissions();
+  run.deliveries = network.channel().deliveries();
+  run.collisions = network.channel().collisions();
+  run.bulk_overlaps = network.channel().concurrent_bulk_overlaps();
+  run.node_allocations = network.channel().frame_pool().node_allocations();
+  run.sender_order = stats.sender_order();
+  for (NodeId id = 0; id < network.size(); ++id) run.nodes.push_back(stats.node(id));
   // Render the *whole* log — the default 200-line cap would hide drift in
   // the bulk of the trace.
-  return log.render(kBroadcastId, log.size() + 1);
+  if (with_trace) run.trace = log.render(kBroadcastId, log.size() + 1);
+  return run;
+}
+
+void expect_runs_identical(const DisseminationRun& a,
+                           const DisseminationRun& b) {
+  EXPECT_EQ(a.all_completed, b.all_completed);
+  EXPECT_EQ(a.completion_time, b.completion_time);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.collisions, b.collisions);
+  EXPECT_EQ(a.bulk_overlaps, b.bulk_overlaps);
+  EXPECT_EQ(a.node_allocations, b.node_allocations);
+  EXPECT_EQ(a.sender_order, b.sender_order);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(a.nodes[i].sent, b.nodes[i].sent);
+    EXPECT_EQ(a.nodes[i].received, b.nodes[i].received);
+    EXPECT_EQ(a.nodes[i].collisions_suffered, b.nodes[i].collisions_suffered);
+    EXPECT_EQ(a.nodes[i].completion_time, b.nodes[i].completion_time);
+    EXPECT_EQ(a.nodes[i].became_sender, b.nodes[i].became_sender);
+    EXPECT_EQ(a.nodes[i].parent, b.nodes[i].parent);
+    EXPECT_EQ(a.nodes[i].segment_completion, b.nodes[i].segment_completion);
+  }
+}
+
+TEST(SharedFrameDelivery, MnpDisseminationDeliversTheSentBytes) {
+  for (const std::uint64_t seed : {3ull, 21ull, 57ull, 777ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DisseminationRun run = disseminate(seed, 4, true, false);
+
+    EXPECT_TRUE(run.all_completed);
+    EXPECT_EQ(run.checked.deliveries, run.deliveries);
+    EXPECT_GT(run.checked.deliveries, 1000u);
+    EXPECT_GT(run.checked.collisions, 0u);
+    // Frames really were recycled while all this was checked.
+    EXPECT_LT(run.node_allocations, run.transmissions);
+  }
+}
+
+// --- zero-copy equivalence ------------------------------------------------
+//
+// The oracle is a pure observer, so a run it byte-checks must be
+// bit-identical to the same seed without it. Then the production run's
+// shared frames carried, delivery for delivery, the bytes that per-receiver
+// copies would have: "same bytes out", not "statistically similar".
+
+TEST(ZeroCopyEquivalence, MetricsBitIdenticalAcrossSeeds) {
+  for (const std::uint64_t seed : {11ull, 57ull, 302ull, 9001ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DisseminationRun plain = disseminate(seed, 4, false, false);
+    const DisseminationRun checked = disseminate(seed, 4, true, false);
+    EXPECT_TRUE(plain.all_completed);
+    EXPECT_EQ(checked.checked.deliveries, plain.deliveries);
+    EXPECT_GT(checked.checked.deliveries, 0u);
+    expect_runs_identical(plain, checked);
+  }
 }
 
 TEST(ZeroCopyEquivalence, RenderedTracesBitIdentical) {
   for (const std::uint64_t seed : {3ull, 21ull, 777ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    EXPECT_EQ(traced_dissemination(seed, true),
-              traced_dissemination(seed, false));
+    const DisseminationRun plain = disseminate(seed, 3, false, true);
+    const DisseminationRun checked = disseminate(seed, 3, true, true);
+    EXPECT_GT(checked.checked.deliveries, 0u);
+    EXPECT_FALSE(plain.trace.empty());
+    EXPECT_EQ(plain.trace, checked.trace);
   }
 }
 

@@ -1,8 +1,7 @@
 // NCast baseline (DESIGN.md §13): the RLNC decoder in isolation, the
 // coefficient-seed expansion contract, crash/reboot resume through the
-// progress journal, and the determinism gates — audit chains must be
-// bit-identical across --jobs counts and across the channel's grid-index
-// fast path, even under scripted churn.
+// progress journal, and the determinism gate — audit chains must be
+// bit-identical across --jobs counts, even under scripted churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 #include "baselines/ncast_node.hpp"
 #include "boot/progress_journal.hpp"
 #include "harness/experiment.hpp"
-#include "harness/observe.hpp"
 #include "harness/sweep.hpp"
 #include "mnp/program_image.hpp"
 #include "net/link_model.hpp"
@@ -277,8 +275,7 @@ TEST(NcastHarness, ConvergesByteExactThroughTheHarness) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism gates under churn: same audit chain for any --jobs count and
-// with the spatial grid index on or off.
+// Determinism gate under churn: same audit chain for any --jobs count.
 // ---------------------------------------------------------------------------
 
 harness::ExperimentConfig churny_ncast() {
@@ -311,25 +308,6 @@ TEST(NcastDeterminism, SweepChainsIdenticalForAnyJobsCountUnderChurn) {
   ASSERT_EQ(sequential_chains.size(), 4u);
   EXPECT_EQ(sequential_chains, parallel_chains);
   EXPECT_NE(sequential_chains[0], sequential_chains[1]);
-}
-
-TEST(NcastDeterminism, GridIndexOnOffProducesIdenticalChains) {
-  auto run_with_grid = [](bool grid) {
-    auto cfg = churny_ncast();
-    cfg.channel.grid_index = grid;
-    harness::Observation obs;
-    obs.with_trace = false;
-    obs.energy_sample_interval = 0;
-    obs.with_audit = true;
-    const auto r = harness::run_experiment(cfg, &obs);
-    EXPECT_TRUE(r.all_completed);
-    return obs;
-  };
-  const auto on = run_with_grid(true);
-  const auto off = run_with_grid(false);
-  ASSERT_FALSE(on.audit.records().empty());
-  EXPECT_EQ(on.audit.records().size(), off.audit.records().size());
-  EXPECT_EQ(on.audit.chain(), off.audit.chain());
 }
 
 }  // namespace

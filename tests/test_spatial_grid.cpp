@@ -1,6 +1,6 @@
 // SpatialGrid unit tests, the incremental-repair property (repairing a
 // dirty row after moves must equal a from-scratch rebuild), and harness
-// level bit-identity of runs with the grid path on vs. off.
+// level bit-identity of a sweep across worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "net/link_model.hpp"
 #include "net/spatial_grid.hpp"
 #include "net/topology.hpp"
-#include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 
 namespace mnp {
@@ -148,7 +147,7 @@ TEST(IncrementalRepair, RepairedRowsMatchFromScratchRebuild) {
   EXPECT_LT(channel.cache_repairs() - builds, 40ull * 2ull * kNodes);
 }
 
-// --- whole-run bit-identity: grid on vs. off ------------------------------
+// --- whole-run bit-identity across sweep worker counts ---------------------
 
 harness::ExperimentConfig small_run(std::uint64_t seed) {
   harness::ExperimentConfig cfg;
@@ -169,33 +168,6 @@ void expect_identical(const harness::RunResult& a, const harness::RunResult& b,
   EXPECT_EQ(a.collisions, b.collisions) << "seed " << seed;
   EXPECT_EQ(a.sender_order, b.sender_order) << "seed " << seed;
   EXPECT_EQ(a.timeline, b.timeline) << "seed " << seed;
-}
-
-TEST(GridRunEquivalence, StaticRunsAreBitIdenticalAcrossSeeds) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    harness::ExperimentConfig with_grid = small_run(seed);
-    harness::ExperimentConfig without = small_run(seed);
-    without.channel.grid_index = false;
-    expect_identical(harness::run_experiment(with_grid),
-                     harness::run_experiment(without), seed);
-  }
-}
-
-TEST(GridRunEquivalence, MobilityAndPartitionRunsAreBitIdentical) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    scenario::ScenarioBuilder b;
-    b.move(sim::minutes(2), 5, 35.0, 5.0, sim::sec(30));
-    b.move(sim::minutes(3), 10, 0.0, 25.0, sim::sec(20));
-    b.partition(sim::minutes(4), sim::minutes(2), {{0, 1, 2, 3}, {12, 13, 14, 15}});
-    b.degrade(sim::minutes(7), sim::minutes(1), 0.5, {5, 6});
-
-    harness::ExperimentConfig with_grid = small_run(seed);
-    with_grid.scenario = b.build("churn");
-    harness::ExperimentConfig without = with_grid;
-    without.channel.grid_index = false;
-    expect_identical(harness::run_experiment(with_grid),
-                     harness::run_experiment(without), seed);
-  }
 }
 
 TEST(GridRunEquivalence, SweepIsBitIdenticalAcrossJobCounts) {
