@@ -343,7 +343,7 @@ RunResult run_experiment(const ExperimentConfig& config,
 
   // ---- observation capture (before any verification EEPROM reads) -------
   if (observation) {
-    network.publish_energy_metrics(sim.now());
+    network.publish_metrics(sim.now());
     obs::MetricsRegistry& m = observation->metrics;
     m.set(m.register_gauge("run.completed_nodes", obs::Unit::kCount, false),
           static_cast<double>(stats.completed_count()));
@@ -426,21 +426,11 @@ RunResult run_experiment(const ExperimentConfig& config,
     out.became_sender = ns.became_sender;
     out.tx_total = ns.total_sent();
     out.rx_total = ns.total_received();
-    out.tx_adv = ns.sent_of(net::PacketType::kAdvertisement) +
-                 ns.sent_of(net::PacketType::kDelugeSummary) +
-                 ns.sent_of(net::PacketType::kMoapPublish) +
-                 ns.sent_of(net::PacketType::kNcastAdv);
-    out.tx_req = ns.sent_of(net::PacketType::kDownloadRequest) +
-                 ns.sent_of(net::PacketType::kDelugeRequest) +
-                 ns.sent_of(net::PacketType::kMoapSubscribe) +
-                 ns.sent_of(net::PacketType::kMoapNack) +
-                 ns.sent_of(net::PacketType::kXnpFixRequest) +
-                 ns.sent_of(net::PacketType::kNcastRequest);
-    out.tx_data = ns.sent_of(net::PacketType::kData) +
-                  ns.sent_of(net::PacketType::kDelugeData) +
-                  ns.sent_of(net::PacketType::kMoapData) +
-                  ns.sent_of(net::PacketType::kXnpData) +
-                  ns.sent_of(net::PacketType::kNcastCoded);
+    for (std::size_t t = 0; t < net::kPacketTypeCount; ++t) {
+      const node::MsgClass c = node::classify(static_cast<net::PacketType>(t));
+      if (c == node::MsgClass::kAdvertisement) out.tx_adv += ns.sent[t];
+      if (c == node::MsgClass::kData) out.tx_data += ns.sent[t];
+    }
     out.eeprom_writes = n.eeprom().total_writes();
     out.collisions_suffered = ns.collisions_suffered;
     out.energy_nah = n.meter().total_nah(sim.now());

@@ -21,9 +21,8 @@ struct NodeResult {
 
   std::uint64_t tx_total = 0;   // Fig. 11 (left)
   std::uint64_t rx_total = 0;   // Fig. 11 (right)
-  std::uint64_t tx_data = 0;
-  std::uint64_t tx_adv = 0;
-  std::uint64_t tx_req = 0;
+  std::uint64_t tx_data = 0;     // sent packets node::classify()s as data
+  std::uint64_t tx_adv = 0;      // ... and as advertisements
   std::uint64_t eeprom_writes = 0;
   std::uint64_t collisions_suffered = 0;
   double energy_nah = 0.0;      // Table-1 pricing of the whole run

@@ -82,7 +82,7 @@ void MnpNode::start(node::Node& node) {
 void MnpNode::journal_segment(std::uint16_t seg) {
   if (!config_.journal_progress) return;
   boot::ProgressJournal journal(node_->eeprom());
-  if (!journal.usable(config_.eeprom_base_offset + program_bytes_)) return;
+  if (!journal.usable(program_bytes_)) return;
   journal.append(program_id_, program_bytes_, seg);
 }
 
@@ -185,7 +185,7 @@ bool MnpNode::reboot(const ProgramImage& oracle) {
     rebooted_ = oracle.matches(image_->bytes());
     return rebooted_;
   }
-  auto stored = node_->eeprom().read(config_.eeprom_base_offset, program_bytes_);
+  auto stored = node_->eeprom().read(0, program_bytes_);
   rebooted_ = oracle.matches(stored);
   return rebooted_;
 }
@@ -211,17 +211,13 @@ std::uint16_t MnpNode::packets_in(std::uint16_t seg) const {
 }
 
 std::size_t MnpNode::eeprom_offset(std::uint16_t seg, std::uint16_t pkt) const {
-  return config_.eeprom_base_offset +
-         (static_cast<std::size_t>(seg - 1) * config_.packets_per_segment + pkt) *
-             config_.payload_bytes;
+  return (static_cast<std::size_t>(seg - 1) * config_.packets_per_segment +
+          pkt) *
+         config_.payload_bytes;
 }
 
 std::size_t MnpNode::payload_len(std::uint16_t seg, std::uint16_t pkt) const {
-  // Image-relative position (eeprom_offset additionally carries the
-  // boot-manager staging base, which must not enter this comparison).
-  const std::size_t rel =
-      (static_cast<std::size_t>(seg - 1) * config_.packets_per_segment + pkt) *
-      config_.payload_bytes;
+  const std::size_t rel = eeprom_offset(seg, pkt);
   if (rel >= program_bytes_) return 0;
   return std::min(config_.payload_bytes, program_bytes_ - rel);
 }

@@ -31,36 +31,9 @@ void Channel::register_radio(Radio& radio) {
   listening_[radio.id()] = radio.is_listening() ? 1 : 0;
 }
 
-void Channel::attach_metrics(obs::MetricsRegistry& registry) {
-  metrics_ = &registry;
-  m_tx_ = registry.register_counter("chan.tx", obs::Unit::kCount, true);
-  m_delivered_ =
-      registry.register_counter("chan.delivered", obs::Unit::kCount, true);
-  m_collisions_ =
-      registry.register_counter("chan.collisions", obs::Unit::kCount, true);
-  m_bulk_overlaps_ = registry.register_counter("chan.bulk_overlaps",
-                                               obs::Unit::kCount, false);
-  m_cache_invalidations_ = registry.register_counter("chan.cache_invalidations",
-                                                     obs::Unit::kCount, false);
-  m_cache_repairs_ =
-      registry.register_counter("chan.cache_repairs", obs::Unit::kCount, false);
-  m_grid_cells_ =
-      registry.register_gauge("chan.grid_cells", obs::Unit::kCount, false);
-  m_grid_occupancy_ = registry.register_gauge("chan.grid_max_occupancy",
-                                              obs::Unit::kCount, false);
-  publish_grid_gauges();
-}
-
 sim::Time Channel::airtime(const Packet& pkt) const {
   const double bits = static_cast<double>(pkt.wire_bytes()) * 8.0;
   return static_cast<sim::Time>(bits / params_.bitrate_bps * 1e6);
-}
-
-void Channel::publish_grid_gauges() const {
-  if (!metrics_) return;
-  metrics_->set(m_grid_cells_, static_cast<double>(grid_.cell_count()));
-  metrics_->set(m_grid_occupancy_,
-                static_cast<double>(grid_.max_occupancy()));
 }
 
 void Channel::discard_caches() const {
@@ -118,12 +91,10 @@ void Channel::sync_world() const {
           if (id < cache->neighbors.size()) cache->mark_dirty(id);
         }
       }
-      publish_grid_gauges();
     } else {
       discard_caches();
     }
     ++cache_invalidations_;
-    if (metrics_) metrics_->add(m_cache_invalidations_);
   }
   cache_topo_version_ = tv;
   cache_links_revision_ = lr;
@@ -153,7 +124,6 @@ Channel::ScaleCache& Channel::build_scale(double power_scale) const {
   cache->success.resize(n);
   if (!grid_.valid() && cache->radius > 0.0) {
     grid_.build(topo_, cache->radius);
-    publish_grid_gauges();
   }
   cache->mark_all_dirty(n);
   scales_.push_back(std::move(cache));
@@ -199,7 +169,6 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
   }
   cache.clear_dirty(src);
   ++cache_repairs_;
-  if (metrics_) metrics_->add(m_cache_repairs_);
 }
 
 bool Channel::row_reaches(ScaleCache& cache, NodeId src, NodeId dst) const {
@@ -271,7 +240,6 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   tx->bulk = is_bulk_data(frame->type());
   tx->frame = std::move(frame);
   ++transmissions_;
-  if (metrics_) metrics_->add(m_tx_, src);
 
   // Candidate receivers: every node currently listening whose radio hears
   // this source at all (interference reach, not just decode reach). The
@@ -313,7 +281,6 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
       if (!tx->corrupted[i] && other_reaches(r)) {
         corrupt_candidate(*tx, i);
         ++collisions_;
-        if (metrics_) metrics_->add(m_collisions_, r);
         if (observer_) observer_->on_collision(r, sim_.now());
       }
     }
@@ -322,7 +289,6 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
       if (!other.corrupted[i] && tx_reaches(r)) {
         corrupt_candidate(other, i);
         ++collisions_;
-        if (metrics_) metrics_->add(m_collisions_, r);
         if (observer_) observer_->on_collision(r, sim_.now());
       }
     }
@@ -340,10 +306,7 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
           }
         }
       }
-      if (mutual || shared_victim) {
-        ++bulk_overlaps_;
-        if (metrics_) metrics_->add(m_bulk_overlaps_);
-      }
+      if (mutual || shared_victim) ++bulk_overlaps_;
     }
   }
 
@@ -383,7 +346,6 @@ void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
     if (!radio) continue;
     if (!rng_.bernoulli(tx->success[i])) continue;
     ++deliveries_;
-    if (metrics_) metrics_->add(m_delivered_, r);
     if (observer_) observer_->on_deliver(tx->src, r, tx->pkt(), sim_.now());
     // Every receiver reads the one shared immutable frame.
     radio->deliver(tx->pkt());

@@ -45,7 +45,6 @@
 #include "net/packet.hpp"
 #include "net/spatial_grid.hpp"
 #include "net/topology.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace mnp::net {
@@ -94,12 +93,6 @@ class Channel {
   void register_radio(Radio& radio);
 
   void set_observer(ChannelObserver* observer) { observer_ = observer; }
-
-  /// Registers the channel's telemetry (the chan.* names of DESIGN.md
-  /// section 9) in `registry` and mirrors every statistic increment into
-  /// it from now on. Handles are pre-registered here, so the per-packet
-  /// cost is one branch plus array adds.
-  void attach_metrics(obs::MetricsRegistry& registry);
 
   /// Time on air for `pkt` at the configured bitrate.
   sim::Time airtime(const Packet& pkt) const;
@@ -214,7 +207,6 @@ class Channel {
   void rebuild_row(ScaleCache& cache, NodeId src) const;
   /// Sparse reachability: does `src` interfere at `dst` at this scale?
   bool row_reaches(ScaleCache& cache, NodeId src, NodeId dst) const;
-  void publish_grid_gauges() const;
 
   /// Fetches a transmission record, recycling a retired one when the
   /// scheduler has let go of it (its completion lambda holds a reference
@@ -261,16 +253,6 @@ class Channel {
   mutable std::vector<NodeId> link_scratch_;
   mutable std::vector<NodeId> row_scratch_;
   ChannelObserver* observer_ = nullptr;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::MetricsRegistry::Counter m_tx_;
-  obs::MetricsRegistry::Counter m_delivered_;
-  obs::MetricsRegistry::Counter m_collisions_;
-  obs::MetricsRegistry::Counter m_bulk_overlaps_;
-  obs::MetricsRegistry::Counter m_cache_invalidations_;
-  obs::MetricsRegistry::Counter m_cache_repairs_;
-  obs::MetricsRegistry::Gauge m_grid_cells_;
-  obs::MetricsRegistry::Gauge m_grid_occupancy_;
 
   std::uint64_t transmissions_ = 0;
   std::uint64_t deliveries_ = 0;

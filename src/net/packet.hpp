@@ -12,6 +12,7 @@
 // overhearing is how MNP fights the hidden terminal problem).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -250,6 +251,13 @@ enum class PacketType : std::uint8_t {
   kNcastRequest,
   kNcastCoded,
 };
+
+/// Number of PacketType values: per-type counters are dense arrays of
+/// this size, indexed by the enumerator.
+inline constexpr std::size_t kPacketTypeCount = 20;
+static_assert(static_cast<std::size_t>(PacketType::kNcastCoded) + 1 ==
+                  kPacketTypeCount,
+              "kPacketTypeCount must follow the last PacketType");
 
 /// Human-readable type tag for reports.
 std::string to_string(PacketType type);

@@ -36,10 +36,26 @@ void Network::attach_observability(trace::EventLog* log,
                                    obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
   stats_.set_event_log(log);
-  stats_.set_metrics(metrics);
   if (metrics) {
     metrics->set_node_count(size());
-    channel_.attach_metrics(*metrics);
+    stats_.set_metrics(metrics);
+    const auto counter = [metrics](const char* name, bool per_node) {
+      return metrics->register_counter(name, obs::Unit::kCount, per_node);
+    };
+    const auto gauge = [metrics](const char* name) {
+      return metrics->register_gauge(name, obs::Unit::kCount, false);
+    };
+    run_metrics_.tx = counter("chan.tx", true);
+    run_metrics_.delivered = counter("chan.delivered", true);
+    run_metrics_.collisions = counter("chan.collisions", true);
+    run_metrics_.bulk_overlaps = counter("chan.bulk_overlaps", false);
+    run_metrics_.cache_invalidations =
+        counter("chan.cache_invalidations", false);
+    run_metrics_.cache_repairs = counter("chan.cache_repairs", false);
+    run_metrics_.grid_cells = gauge("chan.grid_cells");
+    run_metrics_.grid_max_occupancy = gauge("chan.grid_max_occupancy");
+    run_metrics_.completions = counter("node.completions", true);
+    run_metrics_.segments_completed = counter("node.segments_completed", true);
   }
   for (auto& n : nodes_) {
     if (metrics) n->mac().attach_metrics(*metrics);
@@ -54,11 +70,26 @@ void Network::attach_observability(trace::EventLog* log,
   }
 }
 
-void Network::publish_energy_metrics(sim::Time now) {
+void Network::publish_metrics(sim::Time now) {
   if (!metrics_) return;
+  obs::MetricsRegistry& m = *metrics_;
+  const RunMetrics& h = run_metrics_;
   for (auto& n : nodes_) {
-    n->meter().publish(*metrics_, n->id(), now);
+    const net::NodeId id = n->id();
+    const NodeStats& s = stats_.node(id);
+    m.add(h.tx, id, s.total_sent());
+    m.add(h.delivered, id, s.total_received());
+    m.add(h.collisions, id, s.collisions_suffered);
+    m.add(h.completions, id, s.completion_time >= 0 ? 1 : 0);
+    m.add(h.segments_completed, id, s.segments_completed());
+    n->meter().publish(m, id, now);
   }
+  m.add(h.bulk_overlaps, channel_.concurrent_bulk_overlaps());
+  m.add(h.cache_invalidations, channel_.cache_invalidations());
+  m.add(h.cache_repairs, channel_.cache_repairs());
+  m.set(h.grid_cells, static_cast<double>(channel_.grid_cells()));
+  m.set(h.grid_max_occupancy,
+        static_cast<double>(channel_.grid_max_occupancy()));
 }
 
 std::size_t Network::complete_image_count() const {

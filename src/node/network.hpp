@@ -49,18 +49,20 @@ class Network {
   void boot_all(sim::Time max_jitter = sim::msec(500));
 
   /// Wires the whole assembly for telemetry in one call (DESIGN.md
-  /// section 9): the stats collector records into `log` (nullable), the
-  /// channel, every MAC and the completion milestones publish into
-  /// `metrics` (nullable, node count set here), and every radio logs its
-  /// on/off flips so the trace exporter can draw radio-duty slices.
-  /// Call before boot_all(); attaching mid-run loses prior history.
+  /// section 9): the stats collector records into `log` (nullable), every
+  /// MAC publishes into `metrics` (nullable; node count set here, before
+  /// any registration), the chan.* and node.* names are registered for
+  /// publish_metrics(), and every radio logs its on/off flips so the
+  /// trace exporter can draw radio-duty slices. Call before boot_all();
+  /// attaching mid-run loses prior trace history.
   void attach_observability(trace::EventLog* log,
                             obs::MetricsRegistry* metrics);
 
-  /// End-of-run capture: every node's energy meter publishes its gauges
-  /// into the attached registry at time `now`. No-op when metrics were
-  /// never attached.
-  void publish_energy_metrics(sim::Time now);
+  /// End-of-run capture, called once: writes the chan.* and node.*
+  /// metrics from the stats collector and the channel, and every node's
+  /// energy.* gauges and counters at time `now`, into the attached
+  /// registry. No-op when metrics were never attached.
+  void publish_metrics(sim::Time now);
 
   /// Number of nodes whose application reports a complete image.
   std::size_t complete_image_count() const;
@@ -73,6 +75,13 @@ class Network {
   net::Channel channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// Handles publish_metrics() fills; registered at attach time so a run
+  /// that never reaches the end still exports the same metric names.
+  struct RunMetrics {
+    obs::MetricsRegistry::Counter tx, delivered, collisions, bulk_overlaps,
+        cache_invalidations, cache_repairs, completions, segments_completed;
+    obs::MetricsRegistry::Gauge grid_cells, grid_max_occupancy;
+  } run_metrics_;
 };
 
 }  // namespace mnp::node

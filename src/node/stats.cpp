@@ -2,29 +2,30 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 namespace mnp::node {
 
 std::uint64_t NodeStats::total_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& [type, count] : sent) n += count;
-  return n;
+  return std::accumulate(sent.begin(), sent.end(), std::uint64_t{0});
 }
 
 std::uint64_t NodeStats::total_received() const {
-  std::uint64_t n = 0;
-  for (const auto& [type, count] : received) n += count;
-  return n;
+  return std::accumulate(received.begin(), received.end(), std::uint64_t{0});
 }
 
 std::uint64_t NodeStats::sent_of(net::PacketType t) const {
-  auto it = sent.find(t);
-  return it == sent.end() ? 0 : it->second;
+  return sent[static_cast<std::size_t>(t)];
 }
 
 std::uint64_t NodeStats::received_of(net::PacketType t) const {
-  auto it = received.find(t);
-  return it == received.end() ? 0 : it->second;
+  return received[static_cast<std::size_t>(t)];
+}
+
+std::uint64_t NodeStats::segments_completed() const {
+  return static_cast<std::uint64_t>(
+      std::count_if(segment_completion.begin(), segment_completion.end(),
+                    [](sim::Time t) { return t >= 0; }));
 }
 
 MsgClass classify(net::PacketType t) {
@@ -54,30 +55,13 @@ MsgClass classify(net::PacketType t) {
   }
 }
 
-net::PacketType representative(MsgClass c) {
-  switch (c) {
-    case MsgClass::kAdvertisement: return net::PacketType::kAdvertisement;
-    case MsgClass::kRequest: return net::PacketType::kDownloadRequest;
-    case MsgClass::kData: return net::PacketType::kData;
-    case MsgClass::kOther: return net::PacketType::kQuery;
-  }
-  return net::PacketType::kQuery;
-}
-
 StatsCollector::StatsCollector(std::size_t node_count) : nodes_(node_count) {}
-
-void StatsCollector::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (!metrics_) return;
-  m_completions_ =
-      metrics_->register_counter("node.completions", obs::Unit::kCount, true);
-  m_segments_ = metrics_->register_counter("node.segments_completed",
-                                           obs::Unit::kCount, true);
-}
 
 void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
                                  sim::Time now) {
-  if (src < nodes_.size()) ++nodes_[src].sent[pkt.type()];
+  if (src < nodes_.size()) {
+    ++nodes_[src].sent[static_cast<std::size_t>(pkt.type())];
+  }
   const std::int64_t minute = now / sim::minutes(1);
   ++timeline_[minute][static_cast<std::size_t>(classify(pkt.type()))];
   if (event_log_) {
@@ -88,7 +72,9 @@ void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
 
 void StatsCollector::on_deliver(net::NodeId src, net::NodeId dst,
                                 const net::Packet& pkt, sim::Time now) {
-  if (dst < nodes_.size()) ++nodes_[dst].received[pkt.type()];
+  if (dst < nodes_.size()) {
+    ++nodes_[dst].received[static_cast<std::size_t>(pkt.type())];
+  }
   if (event_log_) {
     // "Data<5" — type plus sender, so the trace exporter can pair this
     // delivery with node 5's transmission and draw a flow arrow. Stack
@@ -116,7 +102,6 @@ void StatsCollector::on_completed(net::NodeId id, sim::Time now) {
   if (n.completion_time >= 0) return;  // already recorded
   n.completion_time = now;
   ++completed_;
-  if (metrics_) metrics_->add(m_completions_, id);
   if (event_log_) {
     event_log_->record(now, id, trace::EventKind::kImageCompleted);
   }
@@ -127,10 +112,7 @@ void StatsCollector::on_segment_completed(net::NodeId id, std::uint16_t seg,
   if (id >= nodes_.size() || seg == 0) return;
   auto& v = nodes_[id].segment_completion;
   if (v.size() < seg) v.resize(seg, sim::kNever);
-  if (v[seg - 1] < 0) {
-    v[seg - 1] = now;
-    if (metrics_) metrics_->add(m_segments_, id);
-  }
+  if (v[seg - 1] < 0) v[seg - 1] = now;
   if (event_log_) {
     event_log_->record(now, id, trace::EventKind::kSegmentCompleted,
                        static_cast<std::uint64_t>(seg));

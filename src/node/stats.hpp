@@ -4,6 +4,9 @@
 // per-minute message timeline — Figs. 11 and 12) and receives protocol
 // callbacks (completion times, parents, sender order — Figs. 5-7 and 13;
 // active radio time comes from the per-node EnergyMeter at read-out).
+// It is the one per-node traffic store: RunResult reads it, and the
+// registry's chan.tx/delivered/collisions and node.* counters are filled
+// from it once, at run end (DESIGN.md section 9).
 #pragma once
 
 #include <array>
@@ -20,8 +23,9 @@
 namespace mnp::node {
 
 struct NodeStats {
-  std::map<net::PacketType, std::uint64_t> sent;
-  std::map<net::PacketType, std::uint64_t> received;
+  // Per-type traffic counts, indexed by PacketType.
+  std::array<std::uint64_t, net::kPacketTypeCount> sent{};
+  std::array<std::uint64_t, net::kPacketTypeCount> received{};
   std::uint64_t collisions_suffered = 0;
 
   sim::Time completion_time = sim::kNever;  // full image verified
@@ -33,11 +37,12 @@ struct NodeStats {
   std::uint64_t total_received() const;
   std::uint64_t sent_of(net::PacketType t) const;
   std::uint64_t received_of(net::PacketType t) const;
+  /// Segments with a recorded completion time.
+  std::uint64_t segments_completed() const;
 };
 
 /// Message categories for the Fig.-12 per-minute timeline.
 enum class MsgClass : std::size_t { kAdvertisement = 0, kRequest = 1, kData = 2, kOther = 3 };
-net::PacketType representative(MsgClass c);
 MsgClass classify(net::PacketType t);
 
 class StatsCollector final : public net::ChannelObserver {
@@ -63,10 +68,10 @@ class StatsCollector final : public net::ChannelObserver {
   void set_event_log(trace::EventLog* log) { event_log_ = log; }
   trace::EventLog* event_log() const { return event_log_; }
 
-  /// Optional metrics registry; when attached, completion milestones are
-  /// mirrored into node.* counters, and protocols reach the registry here
-  /// (via Node::stats()) to register their own handles.
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// Optional metrics registry. Protocols reach it here (via
+  /// Node::stats()) to register their own handles; the collector's own
+  /// counts are written into it once, at run end (Network::publish_metrics).
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   // --- queries ---------------------------------------------------------
@@ -92,8 +97,6 @@ class StatsCollector final : public net::ChannelObserver {
  private:
   trace::EventLog* event_log_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::MetricsRegistry::Counter m_completions_;
-  obs::MetricsRegistry::Counter m_segments_;
   std::vector<NodeStats> nodes_;
   std::size_t completed_ = 0;
   std::vector<net::NodeId> sender_order_;

@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace mnp::obs {
 
@@ -15,9 +17,16 @@ const char* unit_name(Unit unit) {
 }
 
 void MetricsRegistry::set_node_count(std::size_t n) {
-  // Per-node cell blocks are sized at registration; changing the count
-  // afterwards would shift every subsequent block.
-  assert(defs_.empty() && "set_node_count must precede registration");
+  // Per-node cell blocks are sized at registration; a count set afterwards
+  // would send per-node adds past a block into its neighbour's cells. The
+  // check aborts in every build type, not only where assert() is live.
+  if (!defs_.empty()) {
+    std::fprintf(stderr,
+                 "MetricsRegistry::set_node_count(%zu) after %zu metric "
+                 "registration(s): the node count must be set first\n",
+                 n, defs_.size());
+    std::abort();
+  }
   node_count_ = n;
 }
 

@@ -4,10 +4,12 @@
 // The registry separates a *registration* phase (allocates, builds the
 // name index, returns a handle) from the *hot path* (plain array indexing,
 // zero allocation). Subsystems register their handles once at attach time
-// — Channel, MACs, protocols — and then increment through the handle for
-// every packet of a multi-hour run. Per-node metrics keep one cell per
-// node plus a running total cell, so both the Fig.-11 style distributions
-// and the summary line come from the same counter.
+// — MACs, protocols, the scenario engine — and then increment through the
+// handle for every event of a multi-hour run. Facts another store already
+// keeps (chan.*, node.*, energy.*) are written once at run end instead
+// (Network::publish_metrics). Per-node metrics keep one cell per node plus
+// a running total cell, so both the Fig.-11 style distributions and the
+// summary line come from the same counter.
 //
 // Export is deterministic: metrics serialize sorted by name, values are
 // fixed-format (json_writer.hpp), and merging sweeps accumulates in seed
@@ -63,8 +65,9 @@ class MetricsRegistry {
   explicit MetricsRegistry(std::size_t node_count = 0)
       : node_count_(node_count) {}
 
-  /// Node count must be fixed before the first per-node registration (the
-  /// experiment harness sets it as soon as the network exists).
+  /// Node count must be fixed before the first registration (the
+  /// experiment harness sets it as soon as the network exists); calling it
+  /// later aborts the process.
   void set_node_count(std::size_t n);
   std::size_t node_count() const { return node_count_; }
 

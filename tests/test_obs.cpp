@@ -8,18 +8,27 @@
 // and bump obs::kTelemetrySchemaVersion if the change is breaking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/observe.hpp"
 #include "harness/sweep.hpp"
+#include "node/stats.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/scenario_parser.hpp"
 
 #ifndef MNP_TEST_DATA_DIR
 #define MNP_TEST_DATA_DIR "tests/data"
+#endif
+#ifndef MNP_EXAMPLE_SCENARIO_DIR
+#define MNP_EXAMPLE_SCENARIO_DIR "examples/scenarios"
 #endif
 
 namespace mnp {
@@ -130,6 +139,15 @@ TEST(MetricsRegistry, ExportIsSortedByName) {
   m.write_json(w);
   const std::string json = w.str();
   EXPECT_LT(json.find("alpha"), json.find("zeta"));
+}
+
+TEST(MetricsRegistryDeathTest, NodeCountAfterRegistrationAborts) {
+  // A late node count would alias per-node blocks; this must fail in every
+  // build type, not only where assert() is compiled in.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  obs::MetricsRegistry m;
+  m.register_counter("node.completions", obs::Unit::kCount, true);
+  EXPECT_DEATH(m.set_node_count(4), "set_node_count");
 }
 
 // ------------------------------------------------------------- observed runs
@@ -252,6 +270,91 @@ TEST(ObservedSweep, MergesMetricsOverAllSeeds) {
   harness::run_experiment(cfg, &single);
   EXPECT_GT(obs.metrics.counter_total("chan.tx"),
             single.metrics.counter_total("chan.tx"));
+}
+
+// ----------------------------------------------- one traffic-counter store
+
+/// The chan.*, node.* and energy.* metrics of an observed run must agree,
+/// per node, with the RunResult and with the run's own event trace.
+void expect_counters_agree(const harness::Observation& obs,
+                           const harness::RunResult& r,
+                           const std::string& label) {
+  SCOPED_TRACE(label);
+  const obs::MetricsRegistry& m = obs.metrics;
+  ASSERT_EQ(obs.log.dropped(), 0u);
+  ASSERT_EQ(m.node_count(), r.nodes.size());
+  EXPECT_EQ(m.counter_total("chan.tx"), r.transmissions);
+  EXPECT_EQ(m.counter_total("chan.delivered"), r.deliveries);
+  EXPECT_EQ(m.counter_total("chan.collisions"), r.collisions);
+  EXPECT_EQ(m.counter_total("chan.bulk_overlaps"), r.bulk_overlaps);
+
+  // Independent recount from the trace: sent packets by class, and the
+  // distinct segments each node completed.
+  std::vector<std::uint64_t> adv(r.nodes.size()), data(r.nodes.size());
+  for (const auto& e : obs.log.of_kind(trace::EventKind::kPacketSent)) {
+    for (std::size_t t = 0; t < net::kPacketTypeCount; ++t) {
+      const auto type = static_cast<net::PacketType>(t);
+      if (e.detail != net::type_name(type)) continue;
+      const node::MsgClass c = node::classify(type);
+      if (c == node::MsgClass::kAdvertisement) ++adv[e.node];
+      if (c == node::MsgClass::kData) ++data[e.node];
+    }
+  }
+  std::set<std::pair<net::NodeId, std::string>> segments;
+  for (const auto& e : obs.log.of_kind(trace::EventKind::kSegmentCompleted)) {
+    segments.emplace(e.node, e.detail);
+  }
+
+  for (net::NodeId id = 0; id < r.nodes.size(); ++id) {
+    SCOPED_TRACE("node " + std::to_string(id));
+    const harness::NodeResult& n = r.nodes[id];
+    EXPECT_EQ(m.counter_node("chan.tx", id), n.tx_total);
+    EXPECT_EQ(m.counter_node("energy.tx_packets", id), n.tx_total);
+    EXPECT_EQ(m.counter_node("chan.delivered", id), n.rx_total);
+    EXPECT_EQ(m.counter_node("energy.rx_packets", id), n.rx_total);
+    EXPECT_EQ(m.counter_node("chan.collisions", id), n.collisions_suffered);
+    EXPECT_EQ(m.counter_node("node.completions", id),
+              n.completion >= 0 ? 1u : 0u);
+    const auto completed = static_cast<std::uint64_t>(std::count_if(
+        segments.begin(), segments.end(),
+        [id](const auto& s) { return s.first == id; }));
+    EXPECT_EQ(m.counter_node("node.segments_completed", id), completed);
+    EXPECT_LE(n.tx_adv + n.tx_data, n.tx_total);
+    EXPECT_EQ(n.tx_adv, adv[id]);
+    EXPECT_EQ(n.tx_data, data[id]);
+  }
+}
+
+TEST(CounterStore, RegistryMatchesRunResultForEveryProtocol) {
+  for (const auto protocol :
+       {harness::Protocol::kMnp, harness::Protocol::kDeluge,
+        harness::Protocol::kMoap, harness::Protocol::kXnp,
+        harness::Protocol::kNcast}) {
+    harness::ExperimentConfig cfg;
+    cfg.protocol = protocol;
+    cfg.rows = 5;
+    cfg.cols = 5;
+    cfg.set_program_segments(2);
+    cfg.max_sim_time = sim::hours(2);
+    harness::Observation obs;
+    const auto r = harness::run_experiment(cfg, &obs);
+    EXPECT_GT(r.transmissions, 0u);
+    expect_counters_agree(obs, r, harness::protocol_name(protocol));
+  }
+}
+
+TEST(CounterStore, RegistryMatchesRunResultUnderChurnAndMobility) {
+  const auto parsed = scenario::load_scenario_file(
+      std::string(MNP_EXAMPLE_SCENARIO_DIR) + "/churn_partition_mobility.scn");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  harness::ExperimentConfig cfg;
+  cfg.scenario = parsed.scenario;
+  cfg.set_program_segments(2);
+  harness::Observation obs;
+  const auto r = harness::run_experiment(cfg, &obs);
+  ASSERT_TRUE(r.scenario_error.empty()) << r.scenario_error;
+  EXPECT_GT(r.scenario_injected, 0u);
+  expect_counters_agree(obs, r, "churn_partition_mobility");
 }
 
 // -------------------------------------------------------------- golden trace
