@@ -16,6 +16,7 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo,
       rng_(sim.fork_rng(0xC4A27EFULL)) {
   radios_.resize(topo_.size(), nullptr);
   listening_.resize(topo_.size(), 0);
+  listeners_.resize(topo_.size());
 }
 
 Channel::Channel(sim::Simulator& sim, const Topology& topo,
@@ -171,13 +172,6 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
   ++cache_repairs_;
 }
 
-bool Channel::row_reaches(ScaleCache& cache, NodeId src, NodeId dst) const {
-  if (src >= cache.neighbors.size()) return false;
-  ensure_row(cache, src);
-  const std::vector<NodeId>& nbr = cache.neighbors[src];
-  return std::binary_search(nbr.begin(), nbr.end(), dst);
-}
-
 std::pair<std::vector<NodeId>, std::vector<double>>
 Channel::neighbor_row_for_test(double power_scale, NodeId src) const {
   ScaleCache& cache = scale_for(power_scale);
@@ -186,16 +180,64 @@ Channel::neighbor_row_for_test(double power_scale, NodeId src) const {
   return {cache.neighbors[src], cache.success[src]};
 }
 
-bool Channel::carrier_busy(NodeId listener) const {
-  const std::size_t n = topo_.size();
+Channel::Heard* Channel::find_heard(NodeId at, const Active& tx) const {
+  std::vector<Heard>& heard = listeners_[at].heard;
+  const auto it = std::find_if(heard.begin(), heard.end(),
+                               [&tx](const Heard& h) { return h.tx == &tx; });
+  return it == heard.end() ? nullptr : &*it;
+}
+
+void Channel::forget_at(NodeId at, const Active& tx) const {
+  Listener& l = listeners_[at];
+  Heard& h = *find_heard(at, tx);
+  if (h.reaches) --l.reached;
+  h = l.heard.back();
+  l.heard.pop_back();
+}
+
+void Channel::refresh_reach() const {
+  sync_world();
+  const std::uint64_t tv = topo_.version();
+  const std::uint64_t lr = links_.revision();
+  if (tv == reach_topo_version_ && lr == reach_links_revision_) return;
+  reach_topo_version_ = tv;
+  reach_links_revision_ = lr;
+  // The rows changed under the transmissions in flight: their reach is
+  // what their *current* rows say, as if each were asked afresh. Candidate
+  // entries stay (the candidates were fixed when the packet began).
   for (const auto& tx : active_) {
-    if (tx->src == listener) return true;  // own transmission in flight
-    if (listener < n &&
-        row_reaches(scale_for(tx->pkt().power_scale), tx->src, listener)) {
-      return true;
+    for (const NodeId d : tx->reach) {
+      Heard& h = *find_heard(d, *tx);
+      if (h.candidate == kNotCandidate) {
+        forget_at(d, *tx);
+      } else {
+        h.reaches = false;
+        --listeners_[d].reached;
+      }
+    }
+    ScaleCache& cache = scale_for(tx->pkt().power_scale);
+    tx->reach.clear();
+    if (tx->src < cache.neighbors.size()) {
+      ensure_row(cache, tx->src);
+      tx->reach = cache.neighbors[tx->src];
+    }
+    for (const NodeId d : tx->reach) {
+      if (Heard* h = find_heard(d, *tx)) {
+        h->reaches = true;
+      } else {
+        listeners_[d].heard.push_back({tx.get(), kNotCandidate, true});
+      }
+      ++listeners_[d].reached;
     }
   }
-  return false;
+}
+
+bool Channel::carrier_busy(NodeId listener) const {
+  if (active_.empty()) return false;
+  refresh_reach();
+  if (listener >= listeners_.size()) return false;
+  const Listener& l = listeners_[listener];
+  return l.own != nullptr || l.reached != 0;
 }
 
 std::shared_ptr<Channel::Active> Channel::acquire_active() {
@@ -213,32 +255,19 @@ std::shared_ptr<Channel::Active> Channel::acquire_active() {
   return std::make_shared<Active>();
 }
 
-void Channel::corrupt_candidate(Active& tx, std::size_t candidate_index) {
-  tx.corrupted[candidate_index] = true;
-}
-
-void Channel::corrupt_listener(Active& tx, NodeId id) {
-  // Candidate lists are ascending, so membership is a binary search, not a
-  // scan.
-  const auto it =
-      std::lower_bound(tx.candidates.begin(), tx.candidates.end(), id);
-  if (it != tx.candidates.end() && *it == id) {
-    corrupt_candidate(
-        tx, static_cast<std::size_t>(it - tx.candidates.begin()));
-  }
-}
-
 void Channel::begin_transmission(NodeId src, Packet pkt) {
   begin_transmission(src, pool_.adopt(std::move(pkt)));
 }
 
 void Channel::begin_transmission(NodeId src, FramePtr frame) {
+  refresh_reach();
   std::shared_ptr<Active> tx = acquire_active();
-  tx->src = src;
-  tx->start = sim_.now();
-  tx->end = sim_.now() + airtime(*frame);
-  tx->bulk = is_bulk_data(frame->type());
-  tx->frame = std::move(frame);
+  Active* const self = tx.get();
+  self->src = src;
+  self->start = sim_.now();
+  self->end = sim_.now() + airtime(*frame);
+  self->bulk = is_bulk_data(frame->type());
+  self->frame = std::move(frame);
   ++transmissions_;
 
   // Candidate receivers: every node currently listening whose radio hears
@@ -246,71 +275,100 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   // decode probability rides along so delivery never re-queries the link
   // model. Enumeration is in ascending node order, and the listening
   // filter reads the SoA byte array — no Radio dereference per neighbor.
-  ScaleCache& tx_cache = scale_for(tx->pkt().power_scale);
+  // The same pass indexes the transmission at every node it reaches, and
+  // notes whether any of them already hears another transmission.
+  bool contested = false;
+  ScaleCache& tx_cache = scale_for(self->pkt().power_scale);
   if (src < topo_.size()) {
     ensure_row(tx_cache, src);
     const auto& neighbors = tx_cache.neighbors[src];
     const auto& success = tx_cache.success[src];
-    tx->candidates.reserve(neighbors.size());
+    self->reach = neighbors;
+    self->candidates.reserve(neighbors.size());
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       const NodeId id = neighbors[i];
-      if (id >= listening_.size() || !listening_[id]) continue;
-      tx->candidates.push_back(id);
-      tx->success.push_back(success[i]);
-      tx->corrupted.push_back(false);
+      std::uint32_t candidate = kNotCandidate;
+      if (id < listening_.size() && listening_[id]) {
+        candidate = static_cast<std::uint32_t>(self->candidates.size());
+        self->candidates.push_back(id);
+        self->success.push_back(success[i]);
+        self->corrupted.push_back(false);
+      }
+      Listener& l = listeners_[id];
+      contested = contested || !l.heard.empty();
+      l.heard.push_back({self, candidate, true});
+      ++l.reached;
     }
   }
-  tx->index = active_.size();
+  if (src >= listeners_.size()) listeners_.resize(src + 1);
+  self->next_own = listeners_[src].own;
+  listeners_[src].own = self;
+  self->index = active_.size();
   active_.push_back(tx);
-  if (observer_) observer_->on_transmit(src, tx->pkt(), sim_.now());
+  if (observer_) observer_->on_transmit(src, self->pkt(), sim_.now());
 
-  // Cross-corruption with every transmission already in flight (all but
-  // the new tail entry): a listener reached by both sources decodes
-  // neither packet.
-  for (std::size_t k = 0; k + 1 < active_.size(); ++k) {
-    Active& other = *active_[k];
-    ScaleCache& other_cache = scale_for(other.pkt().power_scale);
-    const auto other_reaches = [&](NodeId at) {
-      return row_reaches(other_cache, other.src, at);
-    };
-    const auto tx_reaches = [&](NodeId at) {
-      return row_reaches(tx_cache, src, at);
-    };
-    for (std::size_t i = 0; i < tx->candidates.size(); ++i) {
-      const NodeId r = tx->candidates[i];
-      if (!tx->corrupted[i] && other_reaches(r)) {
-        corrupt_candidate(*tx, i);
-        ++collisions_;
-        if (observer_) observer_->on_collision(r, sim_.now());
-      }
+  // Cross-corruption with the transmissions already in flight: a listener
+  // reached by two sources decodes neither packet. A candidate of the new
+  // transmission is lost to the oldest other transmission reaching it;
+  // every uncorrupted candidate of another transmission that the new one
+  // reaches is lost too. Both need a node the new transmission reaches to
+  // hear another one.
+  collision_scratch_.clear();
+  for (std::size_t i = 0; contested && i < self->candidates.size(); ++i) {
+    if (self->corrupted[i]) continue;
+    const NodeId r = self->candidates[i];
+    std::size_t oldest = active_.size();
+    for (const Heard& h : listeners_[r].heard) {
+      if (h.reaches && h.tx != self) oldest = std::min(oldest, h.tx->index);
     }
-    for (std::size_t i = 0; i < other.candidates.size(); ++i) {
-      const NodeId r = other.candidates[i];
-      if (!other.corrupted[i] && tx_reaches(r)) {
-        corrupt_candidate(other, i);
-        ++collisions_;
-        if (observer_) observer_->on_collision(r, sim_.now());
+    if (oldest == active_.size()) continue;
+    self->corrupted[i] = true;
+    collision_scratch_.push_back({oldest, 0, static_cast<std::uint32_t>(i), r});
+  }
+  for (std::size_t i = 0; contested && i < self->reach.size(); ++i) {
+    const NodeId r = self->reach[i];
+    for (const Heard& h : listeners_[r].heard) {
+      if (h.tx == self || h.candidate == kNotCandidate ||
+          h.tx->corrupted[h.candidate]) {
+        continue;
       }
-    }
-    // Concurrent bulk-sender monitor (paper: "at most one sender active in
-    // any neighborhood"): two overlapping code transmissions whose sources
-    // interfere with each other or share a reachable listener.
-    if (tx->bulk && other.bulk) {
-      const bool mutual = tx_reaches(other.src) || other_reaches(src);
-      bool shared_victim = false;
-      if (!mutual) {
-        for (const NodeId r : tx->candidates) {
-          if (other_reaches(r)) {
-            shared_victim = true;
-            break;
-          }
-        }
-      }
-      if (mutual || shared_victim) ++bulk_overlaps_;
+      h.tx->corrupted[h.candidate] = true;
+      collision_scratch_.push_back({h.tx->index, 1, h.candidate, r});
     }
   }
+  std::sort(collision_scratch_.begin(), collision_scratch_.end());
+  for (const Collision& c : collision_scratch_) {
+    ++collisions_;
+    if (observer_) observer_->on_collision(c.victim, sim_.now());
+  }
 
-  sim_.scheduler().post_at(tx->end, [this, tx] { end_transmission(tx); });
+  // Concurrent bulk-sender monitor (paper: "at most one sender active in
+  // any neighborhood"): each overlapping code transmission whose source
+  // interferes with the new source (either way) or reaches one of its
+  // listeners counts once.
+  if (self->bulk && active_.size() > 1) {
+    const std::uint64_t stamp = ++visit_stamp_;
+    const auto count_reaching = [&](NodeId at) {
+      for (const Heard& h : listeners_[at].heard) {
+        if (!h.reaches || h.tx == self || !h.tx->bulk || h.tx->visit == stamp) {
+          continue;
+        }
+        h.tx->visit = stamp;
+        ++bulk_overlaps_;
+      }
+    };
+    count_reaching(src);
+    for (const NodeId d : self->reach) {
+      for (Active* other = listeners_[d].own; other; other = other->next_own) {
+        if (!other->bulk || other->visit == stamp) continue;
+        other->visit = stamp;
+        ++bulk_overlaps_;
+      }
+    }
+    for (const NodeId r : self->candidates) count_reaching(r);
+  }
+
+  sim_.scheduler().post_at(self->end, [this, tx] { end_transmission(tx); });
 }
 
 void Channel::radio_started_listening(NodeId id) {
@@ -320,14 +378,37 @@ void Channel::radio_started_listening(NodeId id) {
 
 void Channel::radio_stopped_listening(NodeId id) {
   if (id < listening_.size()) listening_[id] = 0;
-  for (const auto& tx : active_) {
-    // Mid-packet loss of the listener: the packet is gone for it.
-    corrupt_listener(*tx, id);
+  if (id >= listeners_.size()) return;
+  // Mid-packet loss of the listener: every packet in flight to it is gone.
+  for (const Heard& h : listeners_[id].heard) {
+    if (h.candidate != kNotCandidate) h.tx->corrupted[h.candidate] = true;
   }
 }
 
 void Channel::unlink_active(const std::shared_ptr<Active>& tx) {
-  const std::size_t idx = tx->index;
+  Active* const self = tx.get();
+  Active** link = &listeners_[self->src].own;
+  while (*link != self) link = &(*link)->next_own;
+  *link = self->next_own;
+  self->next_own = nullptr;
+  // Entries live at reach ∪ candidates; both are ascending, so one merge
+  // visits each node once.
+  const std::vector<NodeId>& reach = self->reach;
+  const std::vector<NodeId>& cands = self->candidates;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < reach.size() || j < cands.size()) {
+    NodeId at;
+    if (j == cands.size() || (i < reach.size() && reach[i] < cands[j])) {
+      at = reach[i++];
+    } else {
+      at = cands[j++];
+      if (i < reach.size() && reach[i] == at) ++i;
+    }
+    forget_at(at, *self);
+  }
+  self->reach.clear();
+  const std::size_t idx = self->index;
   const std::size_t last = active_.size() - 1;
   if (idx != last) {
     active_[idx] = std::move(active_[last]);

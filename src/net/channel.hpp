@@ -30,6 +30,15 @@
 // pointers. Every decision enumerates nodes in ascending order, which
 // fixes the RNG stream.
 //
+// In-flight state is indexed per listener, so no query scans the
+// network's in-flight transmissions: each node keeps one entry per
+// in-flight transmission whose current row reaches it or that counts it
+// as a candidate (with its candidate index), a count of the reaching
+// ones, and its own transmissions. Carrier sense is O(1); begin and end
+// cost O(row x local in-flight); a radio going deaf costs O(its entries).
+// When the world changes with transmissions in flight, their reach is
+// re-indexed from the current rows at the next query.
+//
 // There is one code path. Tests check it against a brute-force oracle
 // (tests/channel_oracle.hpp) that recomputes rows, candidate sets,
 // collision victims and carrier sense from the LinkModel with no caches.
@@ -37,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -79,6 +89,10 @@ class Channel {
     std::vector<NodeId> candidates;  // listening-at-start, interfered, ascending
     std::vector<double> success;     // decode probability, parallel to candidates
     std::vector<bool> corrupted;     // parallel to candidates
+    // Per-listener index bookkeeping, owned by the channel:
+    std::vector<NodeId> reach;  // row it is indexed under, ascending
+    Active* next_own = nullptr;  // next in-flight transmission of `src`
+    std::uint64_t visit = 0;     // bulk-monitor dedupe stamp
 
     const Packet& pkt() const { return *frame; }
   };
@@ -205,17 +219,48 @@ class Channel {
     if (cache.dirty_count != 0 && cache.row_dirty(src)) rebuild_row(cache, src);
   }
   void rebuild_row(ScaleCache& cache, NodeId src) const;
-  /// Sparse reachability: does `src` interfere at `dst` at this scale?
-  bool row_reaches(ScaleCache& cache, NodeId src, NodeId dst) const;
+
+  static constexpr std::uint32_t kNotCandidate = 0xFFFFFFFFu;
+  /// An in-flight transmission as one node sees it. A transmission has an
+  /// entry at every node its current row reaches and at every candidate.
+  struct Heard {
+    Active* tx;
+    std::uint32_t candidate;  // index into tx->candidates, or kNotCandidate
+    bool reaches;             // tx's current row reaches this node
+  };
+  /// Per-node in-flight index (see the header comment).
+  struct Listener {
+    std::vector<Heard> heard;
+    std::uint32_t reached = 0;  // entries with `reaches` set
+    Active* own = nullptr;      // head of this node's in-flight transmissions
+  };
+  /// A collision found by begin_transmission, sorted into the order the
+  /// observer hears them: by the other transmission's position in
+  /// active_, the new transmission's victims before the other's, then by
+  /// candidate index.
+  struct Collision {
+    std::size_t other;
+    std::uint32_t phase;
+    std::uint32_t candidate;
+    NodeId victim;
+    bool operator<(const Collision& o) const {
+      return std::tie(other, phase, candidate) <
+             std::tie(o.other, o.phase, o.candidate);
+    }
+  };
+
+  /// Re-indexes every in-flight transmission's reach when the world moved
+  /// since it was indexed; two integer compares otherwise.
+  void refresh_reach() const;
+  /// `tx`'s entry at node `at`, or null.
+  Heard* find_heard(NodeId at, const Active& tx) const;
+  /// Drops `tx`'s entry at node `at`.
+  void forget_at(NodeId at, const Active& tx) const;
 
   /// Fetches a transmission record, recycling a retired one when the
   /// scheduler has let go of it (its completion lambda holds a reference
   /// until it fires, so only use_count()==1 entries are reusable).
   std::shared_ptr<Active> acquire_active();
-  void corrupt_candidate(Active& tx, std::size_t candidate_index);
-  /// Marks `id` corrupted in `tx` if it is a candidate (binary search —
-  /// candidate lists are ascending).
-  void corrupt_listener(Active& tx, NodeId id);
   void end_transmission(const std::shared_ptr<Active>& tx);
   void unlink_active(const std::shared_ptr<Active>& tx);
 
@@ -231,6 +276,15 @@ class Channel {
   /// neighbor instead of dereferencing a Radio per node.
   std::vector<std::uint8_t> listening_;
   std::vector<std::shared_ptr<Active>> active_;
+  /// Per-node in-flight index (topology nodes, plus any other id that has
+  /// transmitted); mutable so carrier sense can re-index reach after a
+  /// world change.
+  mutable std::vector<Listener> listeners_;
+  // World epoch the reach index was built at (cf. cache_topo_version_).
+  mutable std::uint64_t reach_topo_version_ = 0;
+  mutable std::uint64_t reach_links_revision_ = 0;
+  std::uint64_t visit_stamp_ = 0;
+  std::vector<Collision> collision_scratch_;
   std::vector<std::shared_ptr<Active>> retired_active_;  // reuse candidates
   // Lazily built, small (one entry per distinct power scale seen); mutable
   // so the const query paths can materialize a scale on first use.

@@ -144,13 +144,31 @@ bool ScenarioEngine::arm(std::string* error) {
   return true;
 }
 
+bool ScenarioEngine::node_settled(net::NodeId id) const {
+  const node::Node& n = network_.node(id);
+  if (n.is_dead()) return true;
+  const node::Application* app = n.application();
+  return app && app->has_complete_image();
+}
+
 bool ScenarioEngine::converged() const {
   if (network_.simulator().now() < last_activity_) return false;
-  for (net::NodeId id = 0; id < network_.size(); ++id) {
-    const node::Node& n = network_.node(id);
-    if (n.is_dead()) continue;
-    const node::Application* app = n.application();
-    if (!app || !app->has_complete_image()) return false;
+  // The cursor only moves forward past settled nodes, so the calls made
+  // while the run is still disseminating cost O(1) amortized. A node
+  // behind the cursor can unsettle again (a reboot), so reaching the end
+  // is confirmed by one full scan, which restarts the cursor at the first
+  // unsettled node if there is one.
+  const std::size_t n = network_.size();
+  while (settled_prefix_ < n &&
+         node_settled(static_cast<net::NodeId>(settled_prefix_))) {
+    ++settled_prefix_;
+  }
+  if (settled_prefix_ < n) return false;
+  for (std::size_t id = 0; id < n; ++id) {
+    if (!node_settled(static_cast<net::NodeId>(id))) {
+      settled_prefix_ = id;
+      return false;
+    }
   }
   return true;
 }

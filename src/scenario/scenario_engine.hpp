@@ -58,9 +58,12 @@ class ScenarioEngine {
 
   /// True when the schedule is exhausted and every node is either dead or
   /// holds the complete image — the scenario-aware run-end predicate.
+  /// Amortized O(1) per call while the run is still disseminating.
   bool converged() const;
 
  private:
+  /// Dead, or alive and holding the complete image.
+  bool node_settled(net::NodeId id) const;
   void record(net::NodeId node, const std::string& detail);
   void kill_node(net::NodeId id, sim::Time down_for);
   void reboot_node(net::NodeId id);
@@ -75,6 +78,8 @@ class ScenarioEngine {
   sim::Rng rng_;
   sim::Time last_activity_ = 0;
   std::uint64_t injected_ = 0;
+  /// converged(): nodes [0, settled_prefix_) were settled when last seen.
+  mutable std::size_t settled_prefix_ = 0;
 
   obs::MetricsRegistry::Counter m_events_;
   obs::MetricsRegistry::Counter m_kills_;

@@ -1,19 +1,24 @@
 #include "sim/time.hpp"
 
+#include <cinttypes>
 #include <cstdio>
 
 namespace mnp::sim {
 
 std::string format_time(Time t) {
   if (t < 0) return "never";
-  const double total_sec = to_seconds(t);
-  const auto whole_min = static_cast<long>(total_sec / 60.0);
-  const double rem_sec = total_sec - static_cast<double>(whole_min) * 60.0;
+  // Round to the printed precision in integer microseconds before
+  // splitting into minutes and seconds, so a carry reaches the minutes:
+  // 50m59.96s prints "51m00.0s", not "50m60.0s".
   char buf[64];
-  if (whole_min > 0) {
-    std::snprintf(buf, sizeof(buf), "%ldm%04.1fs", whole_min, rem_sec);
+  const Time ms = (t + 500) / 1000;
+  if (ms < 60 * 1000) {
+    std::snprintf(buf, sizeof(buf), "%" PRId64 ".%03" PRId64 "s", ms / 1000,
+                  ms % 1000);
   } else {
-    std::snprintf(buf, sizeof(buf), "%.3fs", rem_sec);
+    const Time tenths = (t + 50000) / 100000;
+    std::snprintf(buf, sizeof(buf), "%" PRId64 "m%02" PRId64 ".%" PRId64 "s",
+                  tenths / 600, tenths % 600 / 10, tenths % 10);
   }
   return buf;
 }

@@ -5,21 +5,42 @@
 namespace mnp::storage {
 
 Eeprom::Eeprom(std::size_t capacity, energy::EnergyMeter* meter)
-    : data_(capacity, 0), written_(capacity, false), meter_(meter) {}
+    : capacity_(capacity), meter_(meter) {}
+
+std::vector<Eeprom::Page>::iterator Eeprom::lower_page(std::size_t index) {
+  return std::lower_bound(
+      pages_.begin(), pages_.end(), index,
+      [](const Page& p, std::size_t i) { return p.index < i; });
+}
+
+Eeprom::Page& Eeprom::touch_page(std::size_t index) {
+  auto it = lower_page(index);
+  if (it == pages_.end() || it->index != index) {
+    it = pages_.insert(it, Page{});
+    it->index = index;
+  }
+  return *it;
+}
 
 bool Eeprom::write(std::size_t offset, const std::vector<std::uint8_t>& bytes) {
-  if (offset > data_.size() || bytes.size() > data_.size() - offset) return false;
-  if (track_write_once_) {
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      if (written_[offset + i]) {
-        ++double_writes_;
-        break;
-      }
+  if (offset > capacity_ || bytes.size() > capacity_ - offset) return false;
+  bool overlap = false;
+  for (std::size_t done = 0; done < bytes.size();) {
+    const std::size_t at = offset + done;
+    const std::size_t in = at % kPageBytes;
+    const std::size_t len = std::min(bytes.size() - done, kPageBytes - in);
+    Page& page = touch_page(at / kPageBytes);
+    for (std::size_t b = in; b < in + len; ++b) {
+      std::uint64_t& word = page.written[b / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+      overlap = overlap || (word & bit) != 0;
+      word |= bit;
     }
+    std::copy_n(bytes.begin() + static_cast<long>(done), len,
+                page.data.begin() + static_cast<long>(in));
+    done += len;
   }
-  std::copy(bytes.begin(), bytes.end(), data_.begin() + static_cast<long>(offset));
-  std::fill(written_.begin() + static_cast<long>(offset),
-            written_.begin() + static_cast<long>(offset + bytes.size()), true);
+  if (track_write_once_ && overlap) ++double_writes_;
   ++total_writes_;
   bytes_written_ += bytes.size();
   if (meter_) meter_->count_eeprom_write(bytes.size());
@@ -35,16 +56,24 @@ std::vector<std::uint8_t> Eeprom::read(std::size_t offset, std::size_t length) {
 void Eeprom::read_into(std::size_t offset, std::size_t length,
                        std::vector<std::uint8_t>& out) {
   out.clear();
-  if (offset > data_.size() || length > data_.size() - offset) return;
+  if (offset > capacity_ || length > capacity_ - offset) return;
   ++total_reads_;
   if (meter_) meter_->count_eeprom_read(length);
-  out.insert(out.end(), data_.begin() + static_cast<long>(offset),
-             data_.begin() + static_cast<long>(offset + length));
+  out.assign(length, 0);
+  // Pages are ascending, so one probe finds the first resident page in
+  // range and the rest follow in order; gaps stay zero.
+  const std::size_t end = offset + length;
+  for (auto it = lower_page(offset / kPageBytes);
+       it != pages_.end() && it->index * kPageBytes < end; ++it) {
+    const std::size_t base = it->index * kPageBytes;
+    const std::size_t from = std::max(offset, base);
+    const std::size_t to = std::min(end, base + kPageBytes);
+    std::copy(it->data.begin() + static_cast<long>(from - base),
+              it->data.begin() + static_cast<long>(to - base),
+              out.begin() + static_cast<long>(from - offset));
+  }
 }
 
-void Eeprom::erase() {
-  std::fill(data_.begin(), data_.end(), std::uint8_t{0});
-  std::fill(written_.begin(), written_.end(), false);
-}
+void Eeprom::erase() { pages_.clear(); }
 
 }  // namespace mnp::storage

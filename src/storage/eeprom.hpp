@@ -4,8 +4,16 @@
 // for incoming code images. The model stores bytes, charges the energy
 // meter per access, and — because MNP guarantees every packet is written
 // exactly once — can be armed to detect double writes to the same range.
+//
+// Storage is paged: a 256-byte page (with its own 256-bit written mask,
+// so write-once detection stays byte-granular) is allocated on the first
+// write that touches it, and the page directory is a sorted vector, so a
+// node holding a ~6 KiB image plus its progress journal costs ~7 KiB, not
+// the full capacity. Untouched bytes read as 0; capacity() is only the
+// bound that range checks (and the journal's tail offset) use.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -17,12 +25,13 @@ namespace mnp::storage {
 class Eeprom {
  public:
   static constexpr std::size_t kDefaultCapacity = 512 * 1024;
+  static constexpr std::size_t kPageBytes = 256;
 
   /// `meter` may be null (no energy accounting). Not owned.
   explicit Eeprom(std::size_t capacity = kDefaultCapacity,
                   energy::EnergyMeter* meter = nullptr);
 
-  std::size_t capacity() const { return data_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
   /// Writes `bytes` at `offset`. Returns false (and writes nothing) if the
   /// range falls outside capacity.
@@ -51,9 +60,23 @@ class Eeprom {
   std::uint64_t total_reads() const { return total_reads_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
 
+  /// Pages allocated so far (each kPageBytes of content plus its mask).
+  std::size_t resident_pages() const { return pages_.size(); }
+
  private:
-  std::vector<std::uint8_t> data_;
-  std::vector<bool> written_;
+  struct Page {
+    std::size_t index = 0;  // covers [index * kPageBytes, +kPageBytes)
+    std::array<std::uint8_t, kPageBytes> data{};
+    std::array<std::uint64_t, kPageBytes / 64> written{};
+  };
+
+  /// First page whose index is >= `index`.
+  std::vector<Page>::iterator lower_page(std::size_t index);
+  /// The page covering `index`, allocated zero-filled on first touch.
+  Page& touch_page(std::size_t index);
+
+  std::size_t capacity_;
+  std::vector<Page> pages_;  // ascending index
   energy::EnergyMeter* meter_;
   bool track_write_once_ = false;
   std::uint64_t double_writes_ = 0;

@@ -262,12 +262,15 @@ class OracleStack {
   template <typename MakeLinks>
   OracleStack(std::uint64_t sim_seed, std::size_t n, double extent,
               std::uint64_t place_seed, MakeLinks make_links)
+      : OracleStack(sim_seed, place(n, extent, place_seed), make_links) {}
+
+  /// One node at each of `at`.
+  template <typename MakeLinks>
+  OracleStack(std::uint64_t sim_seed, const std::vector<Position>& at,
+              MakeLinks make_links)
       : sim_(sim_seed) {
-    sim::Rng place(place_seed);
-    for (std::size_t i = 0; i < n; ++i) {
-      topo_.add({place.uniform_real(0.0, extent),
-                 place.uniform_real(0.0, extent)});
-    }
+    for (const Position& p : at) topo_.add(p);
+    const std::size_t n = at.size();
     links_ = make_links(topo_);
     channel_ = std::make_unique<Channel>(sim_, topo_, *links_);
     for (std::size_t i = 0; i < n; ++i) {
@@ -280,6 +283,16 @@ class OracleStack {
     oracle_ = std::make_unique<ChannelOracle>(
         *channel_, topo_, *links_,
         [this](NodeId id) { return radios_[id]->is_listening(); });
+  }
+
+  static std::vector<Position> place(std::size_t n, double extent,
+                                     std::uint64_t seed) {
+    sim::Rng rng(seed);
+    std::vector<Position> at;
+    for (std::size_t i = 0; i < n; ++i) {
+      at.push_back({rng.uniform_real(0.0, extent), rng.uniform_real(0.0, extent)});
+    }
+    return at;
   }
 
   std::int64_t last_id() const {
@@ -482,6 +495,92 @@ TEST(ChannelGridChurn, CarrierSenseStaysExactAfterMoves) {
   r0.start_transmission(pkt);
   EXPECT_FALSE(channel.carrier_busy(2));
   sim.run_until(sim::sec(3));
+}
+
+// --- world changes with transmissions in flight ---------------------------
+//
+// The per-listener in-flight index stores each transmission's reach; when
+// the world changes mid-flight it must answer from the *current* rows, as
+// a fresh link-model scan would. A line of nodes 10 ft apart (disk range
+// 15 ft: neighbors only); while two data packets are in the air, a source
+// and a listener move and a partition opens, then new transmissions begin
+// over them. The oracle checks carrier sense at every node, the
+// cross-corruption victims (and their order) and the listener losses.
+TEST(ChannelInFlight, WorldChangesMidFlightMatchTheOracle) {
+  std::vector<Position> line;
+  for (int i = 0; i < 8; ++i) line.push_back({10.0 * i, 0.0});
+  OracleStack<scenario::ScenarioLinkModel> stack(
+      11, line, [](const Topology& t) {
+        return std::make_unique<scenario::ScenarioLinkModel>(
+            std::make_unique<DiskLinkModel>(t, 15.0), t.size());
+      });
+  Channel& channel = *stack.channel_;
+  auto& sched = stack.sim_.scheduler();
+  std::vector<std::size_t> in_flight_at_change;
+  const auto world_change = [&](auto change) {
+    return [&, change] {
+      in_flight_at_change.push_back(channel.in_flight_for_test().size());
+      change();
+    };
+  };
+
+  stack.transmit_at(1000, 0, /*bulk=*/true, 1.0);  // heard by 1
+  stack.transmit_at(1000, 5, /*bulk=*/true, 1.0);  // heard by 4 and 6
+  bool busy_1_before = false, busy_3_before = true;
+  bool busy_1_after = true, busy_3_after = false, busy_7_after = false;
+  sched.schedule_at(2000, [&] {
+    busy_1_before = channel.carrier_busy(1);
+    busy_3_before = channel.carrier_busy(3);
+  });
+  // Source 0 glides to x=36 mid-packet: it now reaches 3, 4 and 5 and no
+  // longer 1.
+  sched.schedule_at(3000, world_change([&] {
+    stack.topo_.set_position(0, {36.0, 0.0});
+  }));
+  sched.schedule_at(3500, [&] {
+    busy_1_after = channel.carrier_busy(1);
+    busy_3_after = channel.carrier_busy(3);
+  });
+  stack.check_at(3600);
+  // Listener 7 walks into source 5's reach.
+  sched.schedule_at(4000, world_change([&] {
+    stack.topo_.set_position(7, {62.0, 0.0});
+  }));
+  sched.schedule_at(4500, [&] { busy_7_after = channel.carrier_busy(7); });
+  stack.check_at(4600);
+  // Node 2 starts over all of that: its listener 3 is reached by the moved
+  // source 0, and 0's candidate 1 is reached by 2.
+  stack.transmit_at(5000, 2, /*bulk=*/true, 1.0);
+  // A partition splits the line while three packets are in the air.
+  sched.schedule_at(6000, world_change([&] {
+    stack.links_->set_partition({{0, 1, 2, 3}, {4, 5, 6, 7}});
+  }));
+  stack.check_at(6500);
+  // Listener 4 goes deaf mid-packet, then 6 starts sending (and so stops
+  // listening to 5); 3 sends into the partitioned world.
+  sched.schedule_at(7000, [&] { stack.radios_[4]->turn_off(); });
+  stack.transmit_at(8000, 6, /*bulk=*/true, 1.0);
+  stack.transmit_at(8500, 3, /*bulk=*/false, 1.0);
+  sched.schedule_at(9000, world_change([&] { stack.links_->clear_partition(); }));
+  stack.check_at(9500);
+  stack.transmit_at(10000, 1, /*bulk=*/true, 1.0);
+  stack.run_until(sim::sec(1));
+
+  ASSERT_EQ(in_flight_at_change.size(), 4u);
+  for (const std::size_t n : in_flight_at_change) EXPECT_GE(n, 2u);
+  EXPECT_TRUE(busy_1_before);
+  EXPECT_FALSE(busy_3_before);
+  EXPECT_FALSE(busy_1_after);
+  EXPECT_TRUE(busy_3_after);
+  EXPECT_TRUE(busy_7_after);
+  const ChannelOracle::Counts& checked = stack.oracle_->counts();
+  EXPECT_EQ(checked.transmissions, 6u);
+  EXPECT_EQ(channel.transmissions(), 6u);
+  EXPECT_GT(checked.carrier_probes, 0u);
+  EXPECT_GT(channel.collisions(), 0u);
+  EXPECT_EQ(checked.collisions, channel.collisions());
+  EXPECT_GT(channel.concurrent_bulk_overlaps(), 0u);
+  EXPECT_EQ(channel.cache_invalidations(), 4u);
 }
 
 // --- cache staleness: world mutations must invalidate ---------------------

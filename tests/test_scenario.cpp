@@ -7,9 +7,15 @@
 #include <sstream>
 #include <string>
 
+#include "baselines/deluge_node.hpp"
+#include "baselines/moap_node.hpp"
+#include "baselines/ncast_node.hpp"
 #include "harness/experiment.hpp"
 #include "harness/observe.hpp"
 #include "harness/sweep.hpp"
+#include "mnp/mnp_node.hpp"
+#include "mnp/program_image.hpp"
+#include "node/network.hpp"
 #include "obs/json_writer.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scenario_engine.hpp"
@@ -310,6 +316,151 @@ TEST(ScenarioEngine, SweepIsJobCountIndependentUnderChurn) {
   EXPECT_EQ(sequential.second, parallel.second);
   EXPECT_NE(sequential.second.find("scenario.kills"), std::string::npos);
 }
+
+// --- the run-end predicate ---------------------------------------------------
+//
+// ScenarioEngine::converged() keeps a cursor instead of scanning every node
+// on every call. Checked against the plain full scan after every event of
+// a churn run (kills with reboots, a permanent kill, a partition, a
+// degrade window and a waypoint glide), for each protocol with a journal.
+
+/// The predicate as a full scan: schedule exhausted and every node dead
+/// or holding the complete image.
+bool converged_by_full_scan(node::Network& network,
+                            const scenario::ScenarioEngine& engine) {
+  if (network.simulator().now() < engine.last_activity()) return false;
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    const node::Node& n = network.node(id);
+    if (n.is_dead()) continue;
+    if (!n.application() || !n.application()->has_complete_image()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::unique_ptr<node::Application> make_app(
+    const harness::ExperimentConfig& cfg, bool is_base,
+    const std::shared_ptr<const core::ProgramImage>& image) {
+  switch (cfg.protocol) {
+    case harness::Protocol::kDeluge:
+      return is_base ? std::make_unique<baselines::DelugeNode>(cfg.deluge, image)
+                     : std::make_unique<baselines::DelugeNode>(cfg.deluge);
+    case harness::Protocol::kMoap:
+      return is_base ? std::make_unique<baselines::MoapNode>(cfg.moap, image)
+                     : std::make_unique<baselines::MoapNode>(cfg.moap);
+    case harness::Protocol::kNcast:
+      return is_base ? std::make_unique<baselines::NcastNode>(cfg.ncast, image)
+                     : std::make_unique<baselines::NcastNode>(cfg.ncast);
+    default:
+      return is_base ? std::make_unique<core::MnpNode>(cfg.mnp, image)
+                     : std::make_unique<core::MnpNode>(cfg.mnp);
+  }
+}
+
+class ConvergedPredicate
+    : public ::testing::TestWithParam<harness::Protocol> {};
+
+TEST_P(ConvergedPredicate, MatchesFullScanAfterEveryEventOfAChurnRun) {
+  harness::ExperimentConfig cfg;
+  cfg.protocol = GetParam();
+  cfg.rows = 4;
+  cfg.cols = 4;
+  cfg.set_program_segments(2);
+  cfg.max_sim_time = sim::hours(2);
+  cfg.scenario = ScenarioBuilder{}
+                     .kill(sim::sec(8), 5, /*down_for=*/sim::sec(25))
+                     .kill(sim::sec(12), 10, /*down_for=*/sim::sec(6))
+                     .kill(sim::sec(20), 15)
+                     .partition(sim::sec(5), sim::sec(15),
+                                {{0, 1, 2, 3, 4, 5, 6, 7},
+                                 {8, 9, 10, 11, 12, 13, 14}})
+                     .degrade(sim::sec(30), sim::sec(10), 0.5, {1, 2, 3})
+                     .move(sim::sec(10), 12, 35.0, 5.0, sim::sec(20))
+                     .build("predicate");
+
+  // run_experiment's assembly, stepped by hand (same RNG fork order).
+  harness::ExperimentConfig run_cfg = cfg;
+  run_cfg.mnp.journal_progress = true;
+  run_cfg.deluge.journal_progress = true;
+  run_cfg.moap.journal_progress = true;
+  run_cfg.ncast.journal_progress = true;
+  sim::Simulator sim(run_cfg.seed);
+  scenario::ScenarioLinkModel* links = nullptr;
+  node::Network network(
+      sim, net::Topology::grid(run_cfg.rows, run_cfg.cols, run_cfg.spacing_ft),
+      [&](const net::Topology& owned) -> std::unique_ptr<net::LinkModel> {
+        net::EmpiricalLinkModel::Params lp;
+        lp.range_ft = run_cfg.range_ft;
+        lp.interference_factor = run_cfg.interference_factor;
+        lp.edge_noise_stddev = run_cfg.link_noise_stddev;
+        auto wrapped = std::make_unique<scenario::ScenarioLinkModel>(
+            std::make_unique<net::EmpiricalLinkModel>(owned, lp,
+                                                      sim.fork_rng(0x11A7ULL)),
+            owned.size());
+        links = wrapped.get();
+        return wrapped;
+      },
+      run_cfg.channel);
+  auto image = std::make_shared<const core::ProgramImage>(
+      run_cfg.program_id, run_cfg.program_bytes,
+      harness::image_packets_per_segment(run_cfg),
+      harness::image_payload_bytes(run_cfg));
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    network.node(id).set_application(
+        make_app(run_cfg, id == run_cfg.base, image));
+  }
+  network.boot_all(run_cfg.boot_jitter);
+  scenario::ScenarioEngine engine(run_cfg.scenario, network, links,
+                                  run_cfg.base);
+  std::string error;
+  ASSERT_TRUE(engine.arm(&error)) << error;
+
+  std::uint64_t checks_after_schedule = 0;
+  std::uint64_t mismatches = 0;
+  const auto checked = [&] {
+    const bool fast = engine.converged();
+    const bool slow = converged_by_full_scan(network, engine);
+    if (fast != slow && ++mismatches <= 5) {
+      ADD_FAILURE() << "converged() = " << fast << ", full scan = " << slow
+                    << " at t=" << sim.now();
+    }
+    if (sim.now() >= engine.last_activity()) ++checks_after_schedule;
+    return fast;
+  };
+  ASSERT_TRUE(sim.run_until_condition(run_cfg.max_sim_time, checked));
+  EXPECT_EQ(mismatches, 0u);
+  // The cursor had a run to walk: many checks past the schedule's end.
+  EXPECT_GT(checks_after_schedule, 100u);
+  EXPECT_TRUE(network.node(15).is_dead());
+  const sim::Time stopped_at = sim.now();
+
+  // The harness, which uses the same predicate, stops at that instant.
+  const harness::RunResult r = harness::run_experiment(cfg);
+  ASSERT_TRUE(r.scenario_error.empty());
+  EXPECT_EQ(r.measured_at, stopped_at);
+  EXPECT_EQ(r.scenario_injected, engine.injected());
+
+  // A node behind the cursor that loses its image (RAM wiped, EEPROM and
+  // journal erased) is caught by the confirming scan, and the predicate
+  // turns true again only once the node has downloaded it anew.
+  network.node(3).kill();
+  network.node(3).eeprom().erase();
+  network.node(3).reboot();
+  EXPECT_FALSE(converged_by_full_scan(network, engine));
+  EXPECT_FALSE(checked());
+  ASSERT_TRUE(sim.run_until_condition(sim.now() + sim::hours(1), checked));
+  EXPECT_GT(sim.now(), stopped_at);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ConvergedPredicate,
+    ::testing::Values(harness::Protocol::kMnp, harness::Protocol::kDeluge,
+                      harness::Protocol::kMoap, harness::Protocol::kNcast),
+    [](const ::testing::TestParamInfo<harness::Protocol>& info) {
+      return std::string(harness::protocol_name(info.param));
+    });
 
 }  // namespace
 }  // namespace mnp

@@ -29,6 +29,18 @@ TEST(Time, FormatMinutes) {
   EXPECT_EQ(format_time(minutes(25)), "25m00.0s");
 }
 
+TEST(Time, FormatCarriesRoundingIntoMinutes) {
+  // 50m59.96s rounds to a whole minute: the carry must reach the minutes
+  // field instead of printing "50m60.0s".
+  EXPECT_EQ(format_time(minutes(50) + sec(59) + msec(960)), "51m00.0s");
+  EXPECT_EQ(format_time(minutes(50) + sec(59) + msec(949)), "50m59.9s");
+  // Just under a minute rounds up to one, in the minutes format.
+  EXPECT_EQ(format_time(sec(59) + usec(999600)), "1m00.0s");
+  EXPECT_EQ(format_time(sec(59) + usec(999400)), "59.999s");
+  EXPECT_EQ(format_time(sec(9) + usec(999500)), "10.000s");
+  EXPECT_EQ(format_time(0), "0.000s");
+}
+
 TEST(Time, FormatNever) { EXPECT_EQ(format_time(kNever), "never"); }
 
 }  // namespace
