@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   // Steadiness check over the core of the run (skip ramp-up minute 0 and
   // the final partial minute).
   util::RunningStats data_rate;
-  const std::int64_t last_minute = r.timeline.rbegin()->first;
+  const std::int64_t last_minute = r.timeline.back().first;
   for (const auto& [minute, counts] : r.timeline) {
     if (minute == 0 || minute >= last_minute - 1) continue;
     data_rate.add(static_cast<double>(counts[2]));

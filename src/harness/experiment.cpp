@@ -375,17 +375,21 @@ RunResult run_experiment(const ExperimentConfig& config,
           "msgs_per_min_adv", "msgs_per_min_req", "msgs_per_min_data",
           "msgs_per_min_other"};
       const auto& tl = stats.timeline();
-      const std::int64_t last_minute = tl.rbegin()->first;
+      const std::int64_t last_minute = tl.back().first;
       for (std::size_t c = 0; c < 4; ++c) {
         obs::CounterSeries series;
         series.name = kClassSeries[c];
         series.pid = static_cast<std::uint32_t>(network.size());
         series.process = "network";
+        // One sample per minute, silent minutes as 0. The timeline is
+        // ascending and ends at last_minute, so `it` stays in range.
+        auto it = tl.begin();
         for (std::int64_t minute = 0; minute <= last_minute; ++minute) {
-          const auto it = tl.find(minute);
+          const bool heard = it->first == minute;
           series.samples.emplace_back(
               minute * sim::minutes(1),
-              it == tl.end() ? 0.0 : static_cast<double>(it->second[c]));
+              heard ? static_cast<double>(it->second[c]) : 0.0);
+          if (heard) ++it;
         }
         observation->counters.push_back(std::move(series));
       }

@@ -3,8 +3,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -43,9 +43,10 @@ struct RunResult {
 
   std::vector<NodeResult> nodes;
   std::vector<net::NodeId> sender_order;
-  /// timeline[minute][class]: transmitted messages per minute per class
-  /// (0 = advertisement-like, 1 = request-like, 2 = data, 3 = other).
-  std::map<std::int64_t, std::array<std::uint64_t, 4>> timeline;
+  /// (minute, counts[class]) per minute that saw a transmission, ascending:
+  /// transmitted messages per class (0 = advertisement-like, 1 =
+  /// request-like, 2 = data, 3 = other).
+  std::vector<std::pair<std::int64_t, std::array<std::uint64_t, 4>>> timeline;
 
   std::uint64_t transmissions = 0;
   std::uint64_t deliveries = 0;

@@ -240,19 +240,11 @@ bool Channel::carrier_busy(NodeId listener) const {
   return l.own != nullptr || l.reached != 0;
 }
 
-std::shared_ptr<Channel::Active> Channel::acquire_active() {
-  // Scan for a retired record the scheduler has released (the completion
-  // lambda keeps a reference until it runs; such entries sit at
-  // use_count() > 1 and stay in the retired list).
-  for (std::size_t i = retired_active_.size(); i-- > 0;) {
-    if (retired_active_[i].use_count() == 1) {
-      std::shared_ptr<Active> tx = std::move(retired_active_[i]);
-      retired_active_[i] = std::move(retired_active_.back());
-      retired_active_.pop_back();
-      return tx;
-    }
-  }
-  return std::make_shared<Active>();
+std::unique_ptr<Channel::Active> Channel::acquire_active() {
+  if (retired_active_.empty()) return std::make_unique<Active>();
+  std::unique_ptr<Active> tx = std::move(retired_active_.back());
+  retired_active_.pop_back();
+  return tx;
 }
 
 void Channel::begin_transmission(NodeId src, Packet pkt) {
@@ -261,7 +253,7 @@ void Channel::begin_transmission(NodeId src, Packet pkt) {
 
 void Channel::begin_transmission(NodeId src, FramePtr frame) {
   refresh_reach();
-  std::shared_ptr<Active> tx = acquire_active();
+  std::unique_ptr<Active> tx = acquire_active();
   Active* const self = tx.get();
   self->src = src;
   self->start = sim_.now();
@@ -304,7 +296,7 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   self->next_own = listeners_[src].own;
   listeners_[src].own = self;
   self->index = active_.size();
-  active_.push_back(tx);
+  active_.push_back(std::move(tx));
   if (observer_) observer_->on_transmit(src, self->pkt(), sim_.now());
 
   // Cross-corruption with the transmissions already in flight: a listener
@@ -368,7 +360,9 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
     for (const NodeId r : self->candidates) count_reaching(r);
   }
 
-  sim_.scheduler().post_at(self->end, [this, tx] { end_transmission(tx); });
+  // Two trivially copyable pointers fit std::function's inline buffer, so
+  // posting the end of airtime allocates nothing; active_ owns the record.
+  sim_.scheduler().post_at(self->end, [this, self] { end_transmission(*self); });
 }
 
 void Channel::radio_started_listening(NodeId id) {
@@ -385,8 +379,8 @@ void Channel::radio_stopped_listening(NodeId id) {
   }
 }
 
-void Channel::unlink_active(const std::shared_ptr<Active>& tx) {
-  Active* const self = tx.get();
+std::unique_ptr<Channel::Active> Channel::unlink_active(Active& tx) {
+  Active* const self = &tx;
   Active** link = &listeners_[self->src].own;
   while (*link != self) link = &(*link)->next_own;
   *link = self->next_own;
@@ -410,15 +404,17 @@ void Channel::unlink_active(const std::shared_ptr<Active>& tx) {
   self->reach.clear();
   const std::size_t idx = self->index;
   const std::size_t last = active_.size() - 1;
+  std::unique_ptr<Active> owned = std::move(active_[idx]);
   if (idx != last) {
     active_[idx] = std::move(active_[last]);
     active_[idx]->index = idx;
   }
   active_.pop_back();
+  return owned;
 }
 
-void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
-  unlink_active(tx);
+void Channel::end_transmission(Active& ending) {
+  std::unique_ptr<Active> tx = unlink_active(ending);
   for (std::size_t i = 0; i < tx->candidates.size(); ++i) {
     if (tx->corrupted[i]) continue;
     const NodeId r = tx->candidates[i];
@@ -432,15 +428,13 @@ void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
     radio->deliver(tx->pkt());
   }
   if (retired_active_.size() < 64) {
-    // Park the record for reuse; capacity of the candidate vectors and the
-    // shared_ptr control block survive. The completion lambda still holds
-    // a reference until the scheduler drops it, which acquire_active
-    // detects via use_count().
+    // Park the record for reuse with the capacity of its candidate
+    // vectors; nothing else refers to it once this returns.
     tx->frame.reset();
     tx->candidates.clear();
     tx->success.clear();
     tx->corrupted.clear();
-    retired_active_.push_back(tx);
+    retired_active_.push_back(std::move(tx));
   }
 }
 

@@ -162,7 +162,7 @@ class Channel {
   /// Test hook: the transmissions in flight, oldest first. During
   /// ChannelObserver::on_transmit the new transmission is the last entry,
   /// its candidates built and not yet cross-corrupted.
-  const std::vector<std::shared_ptr<Active>>& in_flight_for_test() const {
+  const std::vector<std::unique_ptr<Active>>& in_flight_for_test() const {
     return active_;
   }
 
@@ -257,12 +257,12 @@ class Channel {
   /// Drops `tx`'s entry at node `at`.
   void forget_at(NodeId at, const Active& tx) const;
 
-  /// Fetches a transmission record, recycling a retired one when the
-  /// scheduler has let go of it (its completion lambda holds a reference
-  /// until it fires, so only use_count()==1 entries are reusable).
-  std::shared_ptr<Active> acquire_active();
-  void end_transmission(const std::shared_ptr<Active>& tx);
-  void unlink_active(const std::shared_ptr<Active>& tx);
+  /// Fetches a transmission record, recycling a retired one if any.
+  std::unique_ptr<Active> acquire_active();
+  /// The end-of-airtime event (it captures the raw record; active_ owns it).
+  void end_transmission(Active& tx);
+  /// Drops `tx` from the in-flight index and hands back its ownership.
+  std::unique_ptr<Active> unlink_active(Active& tx);
 
   sim::Simulator& sim_;
   const Topology& topo_;
@@ -275,7 +275,7 @@ class Channel {
   /// radio state machines: the candidate filter touches one byte per
   /// neighbor instead of dereferencing a Radio per node.
   std::vector<std::uint8_t> listening_;
-  std::vector<std::shared_ptr<Active>> active_;
+  std::vector<std::unique_ptr<Active>> active_;
   /// Per-node in-flight index (topology nodes, plus any other id that has
   /// transmitted); mutable so carrier sense can re-index reach after a
   /// world change.
@@ -285,7 +285,7 @@ class Channel {
   mutable std::uint64_t reach_links_revision_ = 0;
   std::uint64_t visit_stamp_ = 0;
   std::vector<Collision> collision_scratch_;
-  std::vector<std::shared_ptr<Active>> retired_active_;  // reuse candidates
+  std::vector<std::unique_ptr<Active>> retired_active_;  // reuse candidates
   // Lazily built, small (one entry per distinct power scale seen); mutable
   // so the const query paths can materialize a scale on first use.
   mutable std::vector<std::unique_ptr<ScaleCache>> scales_;

@@ -23,14 +23,14 @@ bool DiskLinkModel::interferes(NodeId src, NodeId dst, double power_scale) const
 
 EmpiricalLinkModel::EmpiricalLinkModel(const Topology& topo, Params params,
                                        sim::Rng rng)
-    : topo_(topo), params_(params), n_(topo.size()) {
-  noise_.resize(n_ * n_, 0.0);
-  for (std::size_t i = 0; i < n_ * n_; ++i) {
-    // Each directed edge gets its own perturbation: links are asymmetric,
-    // exactly as in TOSSIM's empirically derived graphs.
-    noise_[i] = rng.normal(0.0, params_.edge_noise_stddev);
-  }
-}
+    : topo_(topo),
+      params_(params),
+      n_(topo.size()),
+      // Each directed edge gets its own perturbation: links are asymmetric,
+      // exactly as in TOSSIM's empirically derived graphs. Only a pair
+      // inside the gray area's end at full power can decode.
+      noise_(topo, params.edge_noise_stddev, std::move(rng),
+             params.range_ft * params.gray_end) {}
 
 double EmpiricalLinkModel::base_success(double u, const Params& params) {
   // u = distance / effective_range.
@@ -43,10 +43,6 @@ double EmpiricalLinkModel::base_success(double u, const Params& params) {
   return 0.98 * (1.0 - t) * (1.0 - t);
 }
 
-double EmpiricalLinkModel::edge_noise(NodeId src, NodeId dst) const {
-  return noise_[static_cast<std::size_t>(src) * n_ + dst];
-}
-
 double EmpiricalLinkModel::packet_success(NodeId src, NodeId dst,
                                           double power_scale) const {
   if (src == dst || src >= n_ || dst >= n_) return 0.0;
@@ -54,8 +50,9 @@ double EmpiricalLinkModel::packet_success(NodeId src, NodeId dst,
   if (effective_range <= 0.0) return 0.0;
   const double u = topo_.node_distance(src, dst) / effective_range;
   const double base = base_success(u, params_);
+  // Beyond the gray area: answered before the noise store is asked.
   if (base <= 0.0) return 0.0;
-  return std::clamp(base + edge_noise(src, dst), 0.0, 1.0);
+  return std::clamp(base + noise_.value(src, dst), 0.0, 1.0);
 }
 
 bool EmpiricalLinkModel::interferes(NodeId src, NodeId dst,
@@ -65,14 +62,34 @@ bool EmpiricalLinkModel::interferes(NodeId src, NodeId dst,
          params_.range_ft * params_.interference_factor * power_scale;
 }
 
+namespace {
+
+// Early answers treat a pair as out of reach only past its bound by this
+// relative margin, so rounding in the bound can never flip an answer (the
+// store keeps a wider margin still).
+constexpr double kBoundSlack = 1.0 + 1e-9;
+
+}  // namespace
+
 ShadowingLinkModel::ShadowingLinkModel(const Topology& topo, Params params,
                                        sim::Rng rng)
-    : topo_(topo), params_(params), n_(topo.size()) {
-  shadow_db_.resize(n_ * n_, 0.0);
-  for (std::size_t i = 0; i < n_ * n_; ++i) {
-    shadow_db_[i] = rng.normal(0.0, params_.shadowing_stddev_db);
-    max_shadow_db_ = std::max(max_shadow_db_, shadow_db_[i]);
-  }
+    : topo_(topo),
+      params_(params),
+      n_(topo.size()),
+      max_shadow_db_(EdgeNoise::largest_draw(rng, n_ * n_,
+                                             params.shadowing_stddev_db)),
+      interference_reach_(unit_reach(params.interference_margin_db)),
+      // packet_success clips p < 0.01, i.e. margin < -width * ln(99).
+      decode_reach_(unit_reach(params.transition_width_db * std::log(99.0))),
+      noise_(topo, params.shadowing_stddev_db, std::move(rng),
+             interference_reach_) {}
+
+double ShadowingLinkModel::unit_reach(double margin_below_db) const {
+  // margin_db(d, 1) + shadow <= 10 n log10(R / d) + max_shadow_db_, which
+  // is <= -margin_below_db once d >= R * 10^((margin + max) / (10 n)).
+  return params_.range_ft *
+         std::pow(10.0, (margin_below_db + max_shadow_db_) /
+                            (10.0 * params_.path_loss_exponent));
 }
 
 double ShadowingLinkModel::max_interference_range(double power_scale) const {
@@ -99,9 +116,9 @@ double ShadowingLinkModel::margin_db(double distance_ft,
 double ShadowingLinkModel::packet_success(NodeId src, NodeId dst,
                                           double power_scale) const {
   if (src == dst || src >= n_ || dst >= n_) return 0.0;
-  const double margin =
-      margin_db(topo_.node_distance(src, dst), power_scale) +
-      shadow_db_[static_cast<std::size_t>(src) * n_ + dst];
+  const double d = topo_.node_distance(src, dst);
+  if (d > decode_reach_ * power_scale * kBoundSlack) return 0.0;
+  const double margin = margin_db(d, power_scale) + noise_.value(src, dst);
   // Logistic transition around 0 dB margin.
   const double z = margin / params_.transition_width_db;
   const double p = 1.0 / (1.0 + std::exp(-z));
@@ -112,9 +129,11 @@ double ShadowingLinkModel::packet_success(NodeId src, NodeId dst,
 bool ShadowingLinkModel::interferes(NodeId src, NodeId dst,
                                     double power_scale) const {
   if (src == dst || src >= n_ || dst >= n_) return false;
-  const double margin =
-      margin_db(topo_.node_distance(src, dst), power_scale) +
-      shadow_db_[static_cast<std::size_t>(src) * n_ + dst];
+  const double d = topo_.node_distance(src, dst);
+  // The spatial grid asks about the corners of its cell rectangle too;
+  // this keeps those queries off the store.
+  if (d > interference_reach_ * power_scale * kBoundSlack) return false;
+  const double margin = margin_db(d, power_scale) + noise_.value(src, dst);
   return margin > -params_.interference_margin_db;
 }
 

@@ -9,11 +9,19 @@
 //
 // `power_scale` scales the effective communication range at transmit time
 // (radio power level knob; also used by the battery-aware extension).
+//
+// The per-edge noise lives in an EdgeNoise store: exact, but sparse (only
+// pairs within the model's reach at power scale 1 are kept). Queries stay
+// RNG-free as far as the simulation is concerned — a pair outside the
+// store is replayed from a private checkpoint copy, never from the
+// simulator's RNG tree — but they are const methods that memoise, so each
+// run owns its model and queries it from one thread.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "net/edge_noise.hpp"
 #include "net/topology.hpp"
 #include "sim/rng.hpp"
 
@@ -80,6 +88,8 @@ class DiskLinkModel final : public LinkModel {
 
 /// TOSSIM-like empirical model: deterministic distance curve with a "gray
 /// area" between 0.5R and 1.1R, perturbed by per-directed-edge noise.
+/// Only pairs closer than `range_ft * gray_end` can decode, so the noise
+/// store keeps those; packet_success answers 0 beyond that before asking.
 class EmpiricalLinkModel final : public LinkModel {
  public:
   struct Params {
@@ -101,13 +111,14 @@ class EmpiricalLinkModel final : public LinkModel {
   /// The deterministic part of the curve, exposed for tests/plots.
   static double base_success(double distance_over_range, const Params& params);
 
- private:
-  double edge_noise(NodeId src, NodeId dst) const;
+  /// The per-edge noise store (replay and size counters for tests).
+  const EdgeNoise& noise() const { return noise_; }
 
+ private:
   const Topology& topo_;
   Params params_;
-  std::vector<double> noise_;  // size() x size(), row = src
   std::size_t n_;
+  EdgeNoise noise_;
 };
 
 /// Log-normal shadowing: the standard statistical radio model. Received
@@ -116,7 +127,10 @@ class EmpiricalLinkModel final : public LinkModel {
 /// the resulting SNR margin clears zero, mapped to a success probability
 /// through a logistic transition. Compared with EmpiricalLinkModel this
 /// produces longer-tailed link quality: occasional good long links and
-/// bad short ones, as observed in real deployments.
+/// bad short ones, as observed in real deployments. The noise store keeps
+/// pairs within max_interference_range(1.0); interferes() and
+/// packet_success() answer false / 0 beyond their own bound (the largest
+/// sampled boost cannot lift such a pair) before asking it.
 class ShadowingLinkModel final : public LinkModel {
  public:
   struct Params {
@@ -139,12 +153,23 @@ class ShadowingLinkModel final : public LinkModel {
   /// Deterministic part: margin in dB at distance d for full power.
   double margin_db(double distance_ft, double power_scale) const;
 
+  /// The per-edge shadowing store (replay and size counters for tests).
+  const EdgeNoise& noise() const { return noise_; }
+
  private:
+  /// Distance at power scale 1 beyond which margin_db + any sampled
+  /// shadowing stays <= -`margin_below_db`.
+  double unit_reach(double margin_below_db) const;
+
+  // Declaration order is construction order: the store's reach needs the
+  // largest sampled boost first.
   const Topology& topo_;
   Params params_;
-  std::vector<double> shadow_db_;  // per directed edge
-  double max_shadow_db_ = 0.0;     // largest sampled boost, for the bound
   std::size_t n_;
+  double max_shadow_db_;       // largest sampled boost (>= 0), for the bounds
+  double interference_reach_;  // unit_reach(interference_margin_db)
+  double decode_reach_;        // unit_reach at the p = 0.01 cutoff
+  EdgeNoise noise_;
 };
 
 }  // namespace mnp::net

@@ -63,7 +63,11 @@ void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
     ++nodes_[src].sent[static_cast<std::size_t>(pkt.type())];
   }
   const std::int64_t minute = now / sim::minutes(1);
-  ++timeline_[minute][static_cast<std::size_t>(classify(pkt.type()))];
+  // The clock never runs backwards, so minutes arrive in order.
+  if (timeline_.empty() || timeline_.back().first != minute) {
+    timeline_.push_back({minute, {}});
+  }
+  ++timeline_.back().second[static_cast<std::size_t>(classify(pkt.type()))];
   if (event_log_) {
     event_log_->record(now, src, trace::EventKind::kPacketSent,
                        std::string_view(net::type_name(pkt.type())));

@@ -11,7 +11,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -88,11 +88,12 @@ class StatsCollector final : public net::ChannelObserver {
   /// this order on the grid).
   const std::vector<net::NodeId>& sender_order() const { return sender_order_; }
 
-  /// Per-minute transmitted-message counts by class (Fig. 12).
-  /// timeline()[minute][class]; trailing minutes may be absent.
-  const std::map<std::int64_t, std::array<std::uint64_t, 4>>& timeline() const {
-    return timeline_;
-  }
+  /// Per-minute transmitted-message counts by class (Fig. 12): one
+  /// (minute, counts[class]) entry per minute that saw a transmission,
+  /// ascending; silent minutes are absent.
+  using Timeline =
+      std::vector<std::pair<std::int64_t, std::array<std::uint64_t, 4>>>;
+  const Timeline& timeline() const { return timeline_; }
 
  private:
   trace::EventLog* event_log_ = nullptr;
@@ -100,7 +101,7 @@ class StatsCollector final : public net::ChannelObserver {
   std::vector<NodeStats> nodes_;
   std::size_t completed_ = 0;
   std::vector<net::NodeId> sender_order_;
-  std::map<std::int64_t, std::array<std::uint64_t, 4>> timeline_;
+  Timeline timeline_;  // appended as the clock advances
 };
 
 }  // namespace mnp::node

@@ -204,7 +204,7 @@ class ChannelOracle final : public ChannelObserver {
   /// channel must have marked it corrupted. Adopts those marks so a later
   /// delivery to it is caught.
   void check_listener_losses(
-      const std::vector<std::shared_ptr<Channel::Active>>& flight) {
+      const std::vector<std::unique_ptr<Channel::Active>>& flight) {
     for (std::size_t k = 0; k + 1 < flight.size(); ++k) {
       const Channel::Active& tx = *flight[k];
       const auto it = records_.find(&tx.pkt());
@@ -226,7 +226,7 @@ class ChannelOracle final : public ChannelObserver {
   /// queues the collision victims and bulk overlaps its cross-corruption
   /// pass must produce.
   void expect_begin(NodeId src, const Packet& pkt,
-                    const std::vector<std::shared_ptr<Channel::Active>>& flight) {
+                    const std::vector<std::unique_ptr<Channel::Active>>& flight) {
     const double ps = pkt.power_scale;
     Record rec;
     rec.src = src;

@@ -1,7 +1,14 @@
-// Unit tests for the disk and empirical link models.
+// Unit tests for the disk, empirical and shadowing link models and the
+// sparse per-edge noise store behind the last two.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mnp/mnp_node.hpp"
 #include "net/link_model.hpp"
@@ -213,6 +220,211 @@ TEST(ShadowingIntegration, MnpCompletesOverShadowedLinks) {
   network.boot_all();
   EXPECT_TRUE(sim.run_until_condition(
       sim::hours(2), [&] { return network.stats().all_completed(); }));
+}
+
+// ---- Sparse per-edge noise: exact against a dense reference -------------
+
+// The n² stream both models draw, row by row: entry src * n + dst.
+std::vector<double> dense_noise(std::size_t n, std::uint64_t seed,
+                                double stddev) {
+  sim::Rng rng(seed);
+  std::vector<double> noise(n * n);
+  for (double& v : noise) v = rng.normal(0.0, stddev);
+  return noise;
+}
+
+TEST(EdgeNoise, EveryPairEqualsTheDenseStreamWhateverTheReach) {
+  const Topology t = Topology::grid(6, 6, 10.0);
+  const std::size_t n = t.size();
+  const std::vector<double> ref = dense_noise(n, 31, 0.5);
+  for (const double reach : {0.0, 15.0, 1e9}) {
+    const EdgeNoise store(t, 0.5, sim::Rng(31), reach);
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId d = 0; d < n; ++d) {
+        if (s == d) continue;
+        ASSERT_EQ(store.value(s, d), ref[s * n + d])
+            << "reach " << reach << " pair " << s << "->" << d;
+      }
+    }
+    // Stored pairs never replay; every other pair replays exactly once.
+    const std::size_t pairs = n * (n - 1);
+    EXPECT_EQ(store.stored_edges(), pairs);
+    if (reach > 1e6) {
+      EXPECT_EQ(store.replays(), 0u);
+    }
+    if (reach == 0.0) {
+      EXPECT_EQ(store.replays(), pairs);
+    }
+  }
+}
+
+// A short-range shadowing field: its interference reach (~25-30 ft at
+// power scale 1) spans a few 10 ft grid hops, so most pairs of a grid lie
+// outside the store and the early answers and replays are exercised.
+ShadowingLinkModel::Params short_range_shadowing() {
+  ShadowingLinkModel::Params p;
+  p.range_ft = 10.0;
+  p.shadowing_stddev_db = 2.0;
+  p.interference_margin_db = 3.0;
+  return p;
+}
+
+// The pre-store formulas of each model, evaluated on a dense noise matrix.
+struct EmpiricalCase {
+  using Model = EmpiricalLinkModel;
+  static Model::Params params() { return {}; }
+  static double stddev(const Model::Params& p) { return p.edge_noise_stddev; }
+  static double success(const Model&, const Model::Params& p, double dist,
+                        double noise, double ps) {
+    const double eff = p.range_ft * ps;
+    if (eff <= 0.0) return 0.0;
+    const double base = Model::base_success(dist / eff, p);
+    if (base <= 0.0) return 0.0;
+    return std::clamp(base + noise, 0.0, 1.0);
+  }
+  static bool interferes(const Model&, const Model::Params& p, double dist,
+                         double, double ps) {
+    return dist <= p.range_ft * p.interference_factor * ps;
+  }
+};
+
+struct ShadowingCase {
+  using Model = ShadowingLinkModel;
+  static Model::Params params() { return short_range_shadowing(); }
+  static double stddev(const Model::Params& p) { return p.shadowing_stddev_db; }
+  static double success(const Model& m, const Model::Params& p, double dist,
+                        double noise, double ps) {
+    const double margin = m.margin_db(dist, ps) + noise;
+    const double z = margin / p.transition_width_db;
+    const double prob = 1.0 / (1.0 + std::exp(-z));
+    return prob < 0.01 ? 0.0 : std::min(prob, 0.99);
+  }
+  static bool interferes(const Model& m, const Model::Params& p, double dist,
+                         double noise, double ps) {
+    return m.margin_db(dist, ps) + noise > -p.interference_margin_db;
+  }
+};
+
+template <class Case>
+class SparseNoise : public ::testing::Test {
+ protected:
+  using Model = typename Case::Model;
+
+  // Every (src, dst) pair, self pairs included, in an order shuffled by
+  // `shuffle_seed` (0 = row-major).
+  static std::vector<std::pair<NodeId, NodeId>> pairs(std::size_t n,
+                                                      unsigned shuffle_seed) {
+    std::vector<std::pair<NodeId, NodeId>> all;
+    all.reserve(n * n);
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId d = 0; d < n; ++d) all.emplace_back(s, d);
+    }
+    if (shuffle_seed != 0) {
+      std::shuffle(all.begin(), all.end(), std::mt19937(shuffle_seed));
+    }
+    return all;
+  }
+
+  // Number of answers (both queries, every pair) that differ from the
+  // dense reference at `ps`; `first` names the first one.
+  static std::size_t mismatches(const Model& m, const Topology& t,
+                                const typename Model::Params& p,
+                                const std::vector<double>& ref, double ps,
+                                unsigned shuffle_seed, std::string& first) {
+    const std::size_t n = t.size();
+    std::size_t bad = 0;
+    for (const auto& [s, d] : pairs(n, shuffle_seed)) {
+      double want_p = 0.0;
+      bool want_i = false;
+      if (s != d) {
+        const double dist = t.node_distance(s, d);
+        want_p = Case::success(m, p, dist, ref[s * n + d], ps);
+        want_i = Case::interferes(m, p, dist, ref[s * n + d], ps);
+      }
+      const double got_p = m.packet_success(s, d, ps);
+      const bool got_i = m.interferes(s, d, ps);
+      if (got_p != want_p || got_i != want_i) {
+        if (bad++ == 0) {
+          first = std::to_string(s) + "->" + std::to_string(d) + " at " +
+                  std::to_string(ps) + ": success " + std::to_string(got_p) +
+                  " vs " + std::to_string(want_p);
+        }
+      }
+    }
+    return bad;
+  }
+};
+
+using ModelCases = ::testing::Types<EmpiricalCase, ShadowingCase>;
+TYPED_TEST_SUITE(SparseNoise, ModelCases);
+
+TYPED_TEST(SparseNoise, EveryPairEqualsTheDenseReferenceAtEveryPowerScale) {
+  const Topology t = Topology::grid(15, 15, 10.0);
+  const auto p = TypeParam::params();
+  const typename TypeParam::Model m(t, p, sim::Rng(5));
+  const std::vector<double> ref = dense_noise(t.size(), 5, TypeParam::stddev(p));
+  std::string first;
+  for (const double ps : {0.25, 0.5, 1.0}) {
+    EXPECT_EQ(this->mismatches(m, t, p, ref, ps, 0, first), 0u) << first;
+  }
+  // Above power scale 1 the reach outgrows the store: the new pairs are
+  // replayed, memoised, and answered from the rows the second time.
+  const std::uint64_t before = m.noise().replays();
+  EXPECT_EQ(this->mismatches(m, t, p, ref, 1.5, 7, first), 0u) << first;
+  const std::uint64_t replayed = m.noise().replays() - before;
+  EXPECT_GT(replayed, 0u);
+  EXPECT_EQ(this->mismatches(m, t, p, ref, 1.5, 8, first), 0u) << first;
+  EXPECT_EQ(m.noise().replays() - before, replayed);
+}
+
+TYPED_TEST(SparseNoise, MovesAndShuffledQueriesKeepEveryAnswerExact) {
+  Topology t = Topology::grid(12, 12, 10.0);
+  const auto p = TypeParam::params();
+  const typename TypeParam::Model m(t, p, sim::Rng(11));
+  const std::vector<double> ref =
+      dense_noise(t.size(), 11, TypeParam::stddev(p));
+  std::string first;
+  EXPECT_EQ(this->mismatches(m, t, p, ref, 1.0, 3, first), 0u) << first;
+
+  std::mt19937 rng(19);
+  std::uniform_real_distribution<double> coord(0.0, 110.0);
+  std::uniform_int_distribution<int> pick(0, static_cast<int>(t.size()) - 1);
+  for (int i = 0; i < 20; ++i) {
+    const auto id = static_cast<NodeId>(pick(rng));
+    const double x = coord(rng);
+    t.set_position(id, {x, coord(rng)});
+  }
+  for (const double ps : {0.5, 1.0}) {
+    EXPECT_EQ(this->mismatches(m, t, p, ref, ps, 4, first), 0u) << first;
+  }
+  const std::uint64_t replayed = m.noise().replays();
+  EXPECT_GT(replayed, 0u) << "no moved node came near a new neighbour";
+  // Memoised: another order asks the store nothing new.
+  for (const double ps : {1.0, 0.5}) {
+    EXPECT_EQ(this->mismatches(m, t, p, ref, ps, 5, first), 0u) << first;
+  }
+  EXPECT_EQ(m.noise().replays(), replayed);
+}
+
+TYPED_TEST(SparseNoise, StaticRowScanNeverReplaysAndRowsStaySmall) {
+  // A 40x40 field, every row built as the channel builds it: interferes
+  // for every pair, packet_success for the ones that interfere.
+  const Topology t = Topology::grid(40, 40, 10.0);
+  const typename TypeParam::Model m(t, TypeParam::params(), sim::Rng(16));
+  const auto n = static_cast<NodeId>(t.size());
+  std::size_t links = 0;
+  for (const double ps : {1.0, 0.5}) {
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId d = 0; d < n; ++d) {
+        if (m.interferes(s, d, ps) && m.packet_success(s, d, ps) > 0.0) {
+          ++links;
+        }
+      }
+    }
+  }
+  EXPECT_GT(links, 0u);
+  EXPECT_EQ(m.noise().replays(), 0u);
+  EXPECT_LE(m.noise().stored_edges(), 40u * n);
 }
 
 }  // namespace

@@ -39,8 +39,10 @@ TEST(StatsCollector, CountsPerTypeAndTimeline) {
 
   const auto& timeline = stats.timeline();
   ASSERT_EQ(timeline.size(), 2u);  // minute 0 and minute 1
-  EXPECT_EQ(timeline.at(0)[static_cast<std::size_t>(MsgClass::kAdvertisement)], 1u);
-  EXPECT_EQ(timeline.at(1)[static_cast<std::size_t>(MsgClass::kData)], 2u);
+  EXPECT_EQ(timeline[0].first, 0);
+  EXPECT_EQ(timeline[0].second[static_cast<std::size_t>(MsgClass::kAdvertisement)], 1u);
+  EXPECT_EQ(timeline[1].first, 1);
+  EXPECT_EQ(timeline[1].second[static_cast<std::size_t>(MsgClass::kData)], 2u);
 }
 
 TEST(StatsCollector, CompletionBookkeeping) {
