@@ -115,6 +115,7 @@ void DelugeNode::learn_program(std::uint16_t version, std::uint16_t pages,
     version_ = version;
     known_pages_ = pages;
     program_bytes_ = bytes;
+    node_->eeprom().reserve_image(program_bytes_);
     node_->meter().mark_first_advertisement(node_->now());
   }
 }

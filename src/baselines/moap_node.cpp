@@ -295,6 +295,7 @@ void MoapNode::handle_publish(const Packet& pkt, const net::MoapPublishMsg& msg)
     version_ = msg.version;
     total_packets_ = msg.total_packets;
     program_bytes_ = msg.program_bytes;
+    node_->eeprom().reserve_image(program_bytes_);
     have_.assign(total_packets_, false);
     node_->meter().mark_first_advertisement(node_->now());
   }

@@ -253,6 +253,7 @@ void NcastNode::learn_program(std::uint16_t id, std::uint16_t gens,
     program_id_ = id;
     known_gens_ = gens;
     program_bytes_ = bytes;
+    node_->eeprom().reserve_image(program_bytes_);
     node_->meter().mark_first_advertisement(node_->now());
   }
 }

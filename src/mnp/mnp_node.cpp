@@ -291,6 +291,7 @@ void MnpNode::learn_program(const net::AdvertisementMsg& adv) {
     program_id_ = adv.program_id;
     program_bytes_ = adv.program_bytes;
     known_segments_ = adv.program_segments;
+    node_->eeprom().reserve_image(program_bytes_);
   }
 }
 

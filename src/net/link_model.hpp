@@ -4,18 +4,16 @@
 // independent bit-error probabilities sampled from empirical distance/
 // loss data — crucially, links are *asymmetric*. EmpiricalLinkModel
 // mirrors that: a deterministic distance-based success curve plus a
-// per-directed-edge noise term sampled once at construction. DiskLinkModel
+// per-directed-edge noise term fixed by the model's seed. DiskLinkModel
 // is the idealized unit-disk used by analytic tests.
 //
 // `power_scale` scales the effective communication range at transmit time
 // (radio power level knob; also used by the battery-aware extension).
 //
-// The per-edge noise lives in an EdgeNoise store: exact, but sparse (only
-// pairs within the model's reach at power scale 1 are kept). Queries stay
-// RNG-free as far as the simulation is concerned — a pair outside the
-// store is replayed from a private checkpoint copy, never from the
-// simulator's RNG tree — but they are const methods that memoise, so each
-// run owns its model and queries it from one thread.
+// The per-edge noise is EdgeNoise: a pure function of (seed, src, dst),
+// computed when a pair is asked about. Queries never touch the
+// simulator's RNG tree and models hold no per-pair state, so building one
+// costs O(1) at any network size.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +86,7 @@ class DiskLinkModel final : public LinkModel {
 
 /// TOSSIM-like empirical model: deterministic distance curve with a "gray
 /// area" between 0.5R and 1.1R, perturbed by per-directed-edge noise.
-/// Only pairs closer than `range_ft * gray_end` can decode, so the noise
-/// store keeps those; packet_success answers 0 beyond that before asking.
+/// packet_success answers 0 beyond the gray area without computing noise.
 class EmpiricalLinkModel final : public LinkModel {
  public:
   struct Params {
@@ -100,6 +97,7 @@ class EmpiricalLinkModel final : public LinkModel {
     double gray_end = 1.1;            // d/R where success reaches ~0
   };
 
+  /// The noise seed is one draw from `rng`.
   EmpiricalLinkModel(const Topology& topo, Params params, sim::Rng rng);
 
   double packet_success(NodeId src, NodeId dst, double power_scale) const override;
@@ -111,64 +109,13 @@ class EmpiricalLinkModel final : public LinkModel {
   /// The deterministic part of the curve, exposed for tests/plots.
   static double base_success(double distance_over_range, const Params& params);
 
-  /// The per-edge noise store (replay and size counters for tests).
+  /// The per-edge noise term (for tests).
   const EdgeNoise& noise() const { return noise_; }
 
  private:
   const Topology& topo_;
   Params params_;
   std::size_t n_;
-  EdgeNoise noise_;
-};
-
-/// Log-normal shadowing: the standard statistical radio model. Received
-/// power follows path loss with exponent `path_loss_exponent` plus a
-/// per-directed-edge Gaussian shadowing term (dB); a packet decodes when
-/// the resulting SNR margin clears zero, mapped to a success probability
-/// through a logistic transition. Compared with EmpiricalLinkModel this
-/// produces longer-tailed link quality: occasional good long links and
-/// bad short ones, as observed in real deployments. The noise store keeps
-/// pairs within max_interference_range(1.0); interferes() and
-/// packet_success() answer false / 0 beyond their own bound (the largest
-/// sampled boost cannot lift such a pair) before asking it.
-class ShadowingLinkModel final : public LinkModel {
- public:
-  struct Params {
-    double range_ft = 25.0;            // distance of 0 dB margin at nominal power
-    double path_loss_exponent = 3.0;   // outdoor ground deployments: 2.7-3.5
-    double shadowing_stddev_db = 4.0;  // per-edge sigma
-    double transition_width_db = 3.0;  // logistic softness around the margin
-    double interference_margin_db = 8.0;  // extra reach of interference
-  };
-
-  ShadowingLinkModel(const Topology& topo, Params params, sim::Rng rng);
-
-  double packet_success(NodeId src, NodeId dst, double power_scale) const override;
-  bool interferes(NodeId src, NodeId dst, double power_scale) const override;
-  /// Interference needs margin > -interference_margin_db even with the
-  /// largest shadowing boost sampled at construction, which inverts to a
-  /// finite distance bound.
-  double max_interference_range(double power_scale) const override;
-
-  /// Deterministic part: margin in dB at distance d for full power.
-  double margin_db(double distance_ft, double power_scale) const;
-
-  /// The per-edge shadowing store (replay and size counters for tests).
-  const EdgeNoise& noise() const { return noise_; }
-
- private:
-  /// Distance at power scale 1 beyond which margin_db + any sampled
-  /// shadowing stays <= -`margin_below_db`.
-  double unit_reach(double margin_below_db) const;
-
-  // Declaration order is construction order: the store's reach needs the
-  // largest sampled boost first.
-  const Topology& topo_;
-  Params params_;
-  std::size_t n_;
-  double max_shadow_db_;       // largest sampled boost (>= 0), for the bounds
-  double interference_reach_;  // unit_reach(interference_margin_db)
-  double decode_reach_;        // unit_reach at the p = 0.01 cutoff
   EdgeNoise noise_;
 };
 

@@ -74,6 +74,11 @@ void Eeprom::read_into(std::size_t offset, std::size_t length,
   }
 }
 
+void Eeprom::reserve_image(std::size_t image_bytes) {
+  const std::size_t bytes = std::min(image_bytes, capacity_);
+  pages_.reserve((bytes + kPageBytes - 1) / kPageBytes + 1);
+}
+
 void Eeprom::erase() { pages_.clear(); }
 
 }  // namespace mnp::storage

@@ -47,6 +47,13 @@ class Eeprom {
   void read_into(std::size_t offset, std::size_t length,
                  std::vector<std::uint8_t>& out);
 
+  /// Sizes the page directory for an image of `image_bytes` stored from
+  /// offset 0 plus the journal's first tail page, so a download fills it
+  /// without regrowing it (growth by doubling left up to half of it
+  /// unused). Protocols call it when they learn the image size; contents
+  /// and counters are untouched.
+  void reserve_image(std::size_t image_bytes);
+
   /// Erases all content and per-byte write marks (new reprogramming round).
   void erase();
 
@@ -62,6 +69,8 @@ class Eeprom {
 
   /// Pages allocated so far (each kPageBytes of content plus its mask).
   std::size_t resident_pages() const { return pages_.size(); }
+  /// Page records the directory holds room for.
+  std::size_t reserved_pages() const { return pages_.capacity(); }
 
  private:
   struct Page {

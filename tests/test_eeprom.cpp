@@ -2,6 +2,7 @@
 // allocated on first write, so a node pays for what it stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "boot/progress_journal.hpp"
@@ -201,8 +202,30 @@ TEST(EepromPages, TwoSegmentMnpRunKeepsImagePagesPlusTheJournal) {
     EXPECT_EQ(journal.entries(), 2u);  // one record per segment
     EXPECT_GT(e.resident_pages(), image_pages);  // the journal page is there
     EXPECT_LE(e.resident_pages(), image_pages + 1);
+    // Sized once when the advertisement named the image, never regrown.
+    EXPECT_EQ(e.reserved_pages(), image_pages + 1);
     EXPECT_TRUE(image->matches(e.read(0, bytes)));
   }
+}
+
+TEST(EepromPages, ReserveImageSizesTheDirectoryForImageAndJournal) {
+  Eeprom e;
+  const std::size_t bytes = 22 * kPage - 10;  // 22 pages, the last partial
+  e.reserve_image(bytes);
+  const std::size_t reserved = e.reserved_pages();
+  EXPECT_GE(reserved, 23u);
+  // Writing the whole image and a journal slot fills it without regrowth.
+  for (std::size_t at = 0; at < bytes; at += 100) {
+    const std::size_t len = std::min<std::size_t>(100, bytes - at);
+    ASSERT_TRUE(e.write(at, std::vector<std::uint8_t>(len, 0x5A)));
+  }
+  ASSERT_TRUE(e.write(e.capacity() - 4096, std::vector<std::uint8_t>(16, 1)));
+  EXPECT_EQ(e.resident_pages(), 23u);
+  EXPECT_EQ(e.reserved_pages(), reserved);
+  // An image larger than the capacity reserves no more than the capacity.
+  Eeprom small(4 * kPage);
+  small.reserve_image(1 << 20);
+  EXPECT_LE(small.reserved_pages(), 5u);
 }
 
 }  // namespace

@@ -269,6 +269,32 @@ TEST(Determinism, FlagsWallClockAndGlobalPrng) {
   EXPECT_TRUE(has_diag(diags, "determinism", "'random_device'"));
 }
 
+TEST(Determinism, FlagsStandardLibraryEnginesAndDistributions) {
+  // <random> draws differ between standard libraries; sim::Rng writes its
+  // own transforms, so nothing under src/ may reach for these.
+  const lint::Allowlist empty;
+  const lint::SourceFile file{
+      "src/net/bad.cpp",
+      "std::mt19937_64 engine(7);\n"
+      "std::mt19937 small(7);\n"
+      "double n = std::normal_distribution<double>(0.0, 1.0)(engine);\n"
+      "auto k = std::uniform_int_distribution<int>(0, 9)(engine);\n"
+      "bool b = std::bernoulli_distribution(0.5)(engine);\n"};
+  const auto diags = lint::check_determinism(file, empty);
+  for (const char* token : {"'mt19937_64'", "'mt19937'",
+                            "'normal_distribution'",
+                            "'uniform_int_distribution'",
+                            "'bernoulli_distribution'"}) {
+    EXPECT_TRUE(has_diag(diags, "determinism", token))
+        << token << "\n" << diags_str(diags);
+  }
+  // A project identifier that merely ends in _distribution is fine.
+  const lint::SourceFile lookalike{
+      "src/harness/report.cpp",
+      "void print_tx_rx_distribution(std::ostream& os);\n"};
+  EXPECT_TRUE(lint::check_determinism(lookalike, empty).empty());
+}
+
 TEST(Determinism, IgnoresMemberCallsCommentsAndLookalikes) {
   const lint::Allowlist empty;
   const lint::SourceFile file{

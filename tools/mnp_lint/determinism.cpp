@@ -1,9 +1,11 @@
 // Rule family 2: determinism lint.
 //
 // The simulator's contract (DESIGN.md section 2) is that a (seed, config)
-// pair fully determines every trace byte. Two things silently break that:
-// wall-clock / global-PRNG calls, and iteration over unordered containers
-// feeding any output path. Both are banned by identifier under src/; the
+// pair fully determines every trace byte. Three things silently break that:
+// wall-clock / global-PRNG calls, iteration over unordered containers
+// feeding any output path, and <random>'s engines and distributions, whose
+// algorithms differ between standard libraries (sim::Rng writes its own).
+// All are banned by identifier under src/ (and bench/, tools/); the
 // per-file allowlist documents vetted exceptions (e.g. the fleet daemon's
 // single steady_clock access point, whose readings never reach a
 // simulation or an exported run artifact).
@@ -27,6 +29,46 @@ const std::set<std::string>& banned_idents() {
       "steady_clock",
   };
   return kBanned;
+}
+
+/// <random>'s engines and distributions: the standard fixes only some of
+/// their output sequences, so a run built on another standard library
+/// would draw different numbers.
+const std::set<std::string>& std_random() {
+  static const std::set<std::string> kRandom = {
+      "mt19937",
+      "mt19937_64",
+      "minstd_rand",
+      "minstd_rand0",
+      "ranlux24",
+      "ranlux48",
+      "knuth_b",
+      "default_random_engine",
+      "linear_congruential_engine",
+      "mersenne_twister_engine",
+      "subtract_with_carry_engine",
+      "uniform_int_distribution",
+      "uniform_real_distribution",
+      "bernoulli_distribution",
+      "binomial_distribution",
+      "geometric_distribution",
+      "negative_binomial_distribution",
+      "poisson_distribution",
+      "exponential_distribution",
+      "gamma_distribution",
+      "weibull_distribution",
+      "extreme_value_distribution",
+      "normal_distribution",
+      "lognormal_distribution",
+      "chi_squared_distribution",
+      "cauchy_distribution",
+      "fisher_f_distribution",
+      "student_t_distribution",
+      "discrete_distribution",
+      "piecewise_constant_distribution",
+      "piecewise_linear_distribution",
+  };
+  return kRandom;
 }
 
 /// Unordered containers: allowed only with an allowlist entry explaining
@@ -59,6 +101,11 @@ std::vector<Diagnostic> check_determinism(const SourceFile& file,
     if (!t.ident()) continue;
     if (banned_idents().count(t.text)) {
       report(t.line, t.text, "is nondeterministic across runs");
+      continue;
+    }
+    if (std_random().count(t.text)) {
+      report(t.line, t.text,
+             "draws differently on each standard library");
       continue;
     }
     if (unordered_containers().count(t.text)) {

@@ -11,8 +11,10 @@
 //    all errors.
 //
 //  * determinism — bans wall-clock and global-PRNG identifiers
-//    (std::rand, srand, time(...), system_clock, random_device, ...) and
-//    unordered associative containers under src/, bench/ and tools/;
+//    (std::rand, srand, time(...), system_clock, random_device, ...),
+//    <random>'s engines and distributions (mt19937, normal_distribution,
+//    ...) and unordered associative containers under src/, bench/ and
+//    tools/;
 //    per-file allowlist entries (allowlist.txt) document the vetted
 //    exceptions.
 //
